@@ -139,8 +139,3 @@ def lagrange_series(dist: ClaimDistribution, v: float, n_max: int) -> float:
         vn *= v
         total += vn / n * conv[n - 1]
     return total
-
-
-# Interface aliases under longer descriptive names.
-root_pair_modified_geometric = root_pair
-lagrange_series_phi = lagrange_series

@@ -5,6 +5,19 @@ runs are reproducible and independent across the stream index. The
 simulation is step-major over a compacted set of active paths: all
 paths share the clock, which lets discounting use a scalar v^t.
 
+One stepping kernel serves the four policies: the free walk, killed
+on leaving a band; reflection at an upper barrier b (dividends); at 0
+(capital injections); and at both. A step moves every live path by
+1 - claim, then (1) reflects it at 0, tallying the injection, (2)
+absorbs it at or above the upper or at or below the lower level,
+scoring the functional there, and (3) reflects it at b, paying one
+unit. The start goes through the same events at t = 0 with discount 1,
+so a start outside the band is reflected (the excess injected or paid
+at once) or absorbed before any draw. Each functional names the
+tallies it reads (discounted dividends, dividend count, injection
+count, discounted injections, discounted visits to a state), and the
+kernel keeps only those.
+
 Geometric killing at rate 1 - v is applied analytically (each period
 contributes a factor v) except where the killed dividend count itself
 is the object of interest, in which case the horizon is sampled.
@@ -14,41 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import DomainError, InvalidFunctional
 from .model import ClaimDistribution
 
 _BIAS_TARGET = 1e-10
 
-_FREE_KINDS = (
-    "passage_up",
-    "two_sided_up",
-    "deficit_gf",
-    "discounted_ruin",
-    "ruin_indicator",
-    "expected_deficit",
-    "resolvent",
-    "downcross_w",
-)
-_REFLECT_UPPER_KINDS = (
-    "dividends_pv",
-    "joint_deficit_dividends",
-    "ruin_prob",
-    "bailout_pv",
-    "modified_value",
-)
-_REFLECT_LOWER_KINDS = ("injection_mgf",)
-_DOUBLY_KINDS = ("doubly_dividends", "doubly_bailouts", "doubly_value")
-
-_POLICY_KINDS = {
-    "free": _FREE_KINDS,
-    "reflect_upper": _REFLECT_UPPER_KINDS,
-    "reflect_lower_0": _REFLECT_LOWER_KINDS,
-    "doubly_reflected": _DOUBLY_KINDS,
-}
+_POLICIES = ("free", "reflect_upper", "reflect_lower_0", "doubly_reflected")
+_REFLECT_AT_0 = ("reflect_lower_0", "doubly_reflected")
+_REFLECT_AT_B = ("reflect_upper", "doubly_reflected")
 
 
 @dataclass(frozen=True)
@@ -59,10 +49,9 @@ class PolicySpec:
     b: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _POLICY_KINDS:
+        if self.kind not in _POLICIES:
             raise InvalidFunctional(f"unknown policy kind {self.kind!r}")
-        needs_b = self.kind in ("reflect_upper", "doubly_reflected")
-        if needs_b and (self.b is None or self.b < 0):
+        if self.kind in _REFLECT_AT_B and (self.b is None or self.b < 0):
             raise InvalidFunctional(f"policy {self.kind} needs a barrier b >= 0")
 
 
@@ -157,201 +146,157 @@ def _estimate(values: np.ndarray, seed: int, cap: int, n_capped: int) -> MCEstim
     )
 
 
-def _run_free(sampler, x0, fn, n_paths, rng, cap):
-    kind = fn.kind
-    v, w = fn.v, fn.w
-    if kind == "passage_up":
-        upper, lower = fn.level, None
-        if upper is None:
-            raise InvalidFunctional("passage_up needs a target level")
-    elif kind in ("two_sided_up", "expected_deficit", "resolvent"):
-        upper, lower = fn.level, -1
-        if upper is None:
-            raise InvalidFunctional(f"{kind} needs an upper level")
-    elif kind in ("deficit_gf", "ruin_indicator", "discounted_ruin"):
-        upper, lower = fn.level, -1
-    else:  # downcross_w
-        if fn.level is None or fn.weights is None:
-            raise InvalidFunctional("downcross_w needs a level and weights")
-        upper, lower = fn.upper, fn.level - 1
-        if len(fn.weights) <= max(lower, 0):
-            raise InvalidFunctional("downcross_w weights do not cover the band")
-    if kind == "resolvent" and fn.target_state is None:
-        raise InvalidFunctional("resolvent needs a target state")
-    weights = np.asarray(fn.weights) if fn.weights is not None else None
+# ------------------------------------------------------------ functionals
+#
+# Each kind names its policy, the FunctionalSpec fields it needs, its
+# band (fn -> absorbing upper and lower levels, None for no level), the
+# tallies it reads, and its scores f(fn, disc, x, tally) of the paths
+# absorbed above, absorbed below and running at the cap (None scores 0).
 
+@dataclass(frozen=True)
+class _Kind:
+    policy: str
+    needs: tuple[str, ...]
+    band: Callable
+    tallies: tuple[str, ...] = ()
+    above: Callable | None = None
+    below: Callable | None = None
+    at_cap: Callable | None = None
+
+
+# bands: killed at ruin (and at fn.level if given), only at ruin, or never
+_KILLED, _RUIN_ONLY, _UNBOUNDED = (
+    (lambda fn: (fn.level, -1)), (lambda fn: (None, -1)), (lambda fn: (None, None)))
+
+
+def _downcross_band(fn):
+    if len(fn.weights) <= max(fn.level - 1, 0):
+        raise InvalidFunctional("downcross_w weights do not cover the band")
+    return fn.upper, fn.level - 1
+
+
+def _target_band(fn):
+    if fn.level < 0:
+        raise InvalidFunctional("injection_mgf needs a nonnegative target level")
+    return fn.level, None
+
+
+def _deficit_gf(fn, disc, x, t):
+    return disc * fn.w ** (-x.astype(float))
+
+
+def _downcross(fn, disc, x, t):
+    weights = np.asarray(fn.weights)
+    safe = np.clip(x, 0, len(weights) - 1)
+    return disc * np.where(x >= 0, weights[safe], 0.0)
+
+
+def _tally(name):
+    return lambda fn, disc, x, t: t[name]
+
+
+_DISC, _ONE = (lambda fn, disc, x, t: disc), (lambda fn, disc, x, t: 1.0)
+_DIV, _BAIL, _VISITS = _tally("div"), _tally("bail"), _tally("visits")
+_INT_TALLIES = ("paid", "inj")  # counts; the other tallies are discounted sums
+
+_KINDS = {
+    # free walk, killed on leaving its band
+    "passage_up": _Kind("free", ("level",), lambda fn: (fn.level, None), above=_DISC),
+    "two_sided_up": _Kind("free", ("level",), _KILLED, above=_DISC),
+    "deficit_gf": _Kind("free", (), _KILLED, below=_deficit_gf),
+    "discounted_ruin": _Kind("free", (), _KILLED, below=_DISC),
+    "ruin_indicator": _Kind("free", (), _KILLED, below=_ONE),
+    "expected_deficit": _Kind("free", ("level",), _KILLED,
+                              below=lambda fn, disc, x, t: disc * x.astype(float)),
+    "resolvent": _Kind("free", ("level", "target_state"), _KILLED, ("visits",),
+                       _VISITS, _VISITS, _VISITS),
+    "downcross_w": _Kind("free", ("level", "weights"), _downcross_band, below=_downcross),
+    # reflected at b, killed at ruin
+    "dividends_pv": _Kind("reflect_upper", (), _RUIN_ONLY, ("div",),
+                          below=_DIV, at_cap=_DIV),
+    "joint_deficit_dividends": _Kind(
+        "reflect_upper", (), _RUIN_ONLY, ("paid",),
+        below=lambda fn, disc, x, t: _deficit_gf(fn, disc, x, t)
+        * fn.z ** t["paid"].astype(float)),
+    "ruin_prob": _Kind("reflect_upper", (), _RUIN_ONLY, below=_ONE),
+    "bailout_pv": _Kind("reflect_upper", (), _RUIN_ONLY,
+                        below=lambda fn, disc, x, t: disc * -x.astype(float)),
+    "modified_value": _Kind(
+        "reflect_upper", (), _RUIN_ONLY, ("div",), at_cap=_DIV,
+        below=lambda fn, disc, x, t: t["div"] - fn.k * disc * -x.astype(float)),
+    # reflected at 0 until a target
+    "injection_mgf": _Kind(
+        "reflect_lower_0", ("level",), _target_band, ("inj",),
+        above=lambda fn, disc, x, t: disc * fn.w ** t["inj"].astype(float)),
+    # reflected at both 0 and b, run to the cap
+    "doubly_dividends": _Kind("doubly_reflected", (), _UNBOUNDED, ("div",), at_cap=_DIV),
+    "doubly_bailouts": _Kind("doubly_reflected", (), _UNBOUNDED, ("bail",), at_cap=_BAIL),
+    "doubly_value": _Kind("doubly_reflected", (), _UNBOUNDED, ("div", "bail"),
+                          at_cap=lambda fn, disc, x, t: t["div"] - fn.k * t["bail"]),
+}
+
+
+def _run(sampler, x0, fn, kind, n_paths, rng, cap, b):
+    """The stepping kernel: every path's value and the number of paths
+    still running at the cap."""
+    for name in kind.needs:
+        if getattr(fn, name) is None:
+            raise InvalidFunctional(f"{fn.kind} needs {name}")
+    upper, lower = kind.band(fn)
+    at_0 = kind.policy in _REFLECT_AT_0
+    at_b = kind.policy in _REFLECT_AT_B
     values = np.zeros(n_paths)
-
-    def at_lower(states: np.ndarray, disc: float) -> np.ndarray:
-        if kind == "deficit_gf":
-            return disc * w ** (-states.astype(float))
-        if kind == "discounted_ruin":
-            return np.full(states.shape, disc)
-        if kind == "ruin_indicator":
-            return np.ones(states.shape)
-        if kind == "expected_deficit":
-            return disc * states.astype(float)
-        if kind == "downcross_w":
-            safe = np.clip(states, 0, len(weights) - 1)
-            return disc * np.where(states >= 0, weights[safe], 0.0)
-        return np.zeros(states.shape)  # two_sided_up
-
-    # resolutions that need no sampling at all
-    if upper is not None and x0 >= upper:
-        if kind in ("passage_up", "two_sided_up"):
-            values[:] = 1.0
-        return values, 0
-    if lower is not None and x0 <= lower:
-        start = np.full(n_paths, x0, dtype=np.int64)
-        if kind == "resolvent":
-            values[:] = 0.0
-        else:
-            values[:] = at_lower(start, 1.0)
-        return values, 0
-
     idx = np.arange(n_paths)
     x = np.full(n_paths, x0, dtype=np.int64)
-    acc = np.zeros(n_paths) if kind == "resolvent" else None
+    tally = {name: np.zeros(n_paths, dtype=np.int64 if name in _INT_TALLIES else float)
+             for name in kind.tallies}
+
+    def score(fun, hit):
+        if fun is not None:
+            values[idx[hit]] = fun(fn, disc, x[hit], {k: a[hit] for k, a in tally.items()})
+
     disc = 1.0
     t = 0
-    while idx.size and t < cap:
-        if acc is not None:
-            acc += disc * (x == fn.target_state)
+    while True:
+        if at_0:
+            neg = x < 0
+            if "inj" in tally:
+                tally["inj"][neg] += -x[neg]
+            if "bail" in tally:
+                tally["bail"][neg] += disc * -x[neg].astype(float)
+            x[neg] = 0
+        if upper is not None or lower is not None:
+            stopped = np.zeros(idx.size, dtype=bool)
+            if upper is not None:
+                up = x >= upper
+                score(kind.above, up)
+                stopped |= up
+            if lower is not None:
+                low = x <= lower
+                score(kind.below, low)
+                stopped |= low
+            keep = ~stopped
+            idx = idx[keep]
+            x = x[keep]
+            tally = {k: a[keep] for k, a in tally.items()}
+        if at_b:
+            paid = x > b
+            excess = x[paid] - b if t == 0 else 1  # a step overshoots b by 1
+            if "div" in tally:
+                tally["div"][paid] += disc * excess
+            if "paid" in tally:
+                tally["paid"][paid] += excess
+            np.minimum(x, b, out=x)
+        if not idx.size or t >= cap:
+            break
+        if "visits" in tally:
+            tally["visits"] += disc * (x == fn.target_state)
         t += 1
-        disc *= v
+        disc *= fn.v
         x = x + 1 - sampler.draw(rng.random(idx.size))
-        stopped = np.zeros(idx.size, dtype=bool)
-        if upper is not None:
-            up = x >= upper
-            if kind in ("passage_up", "two_sided_up"):
-                values[idx[up]] = disc
-            elif kind == "resolvent":
-                values[idx[up]] = acc[up]
-            stopped |= up
-        if lower is not None:
-            low = x <= lower
-            if kind == "resolvent":
-                values[idx[low]] = acc[low]
-            else:
-                values[idx[low]] = at_lower(x[low], disc)
-            stopped |= low
-        keep = ~stopped
-        idx = idx[keep]
-        x = x[keep]
-        if acc is not None:
-            acc = acc[keep]
-    if acc is not None and idx.size:
-        values[idx] = acc
+    if idx.size:
+        score(kind.at_cap, slice(None))
     return values, int(idx.size)
-
-
-def _run_reflect_upper(sampler, x0, fn, n_paths, rng, cap, b):
-    kind = fn.kind
-    v, w, z, k = fn.v, fn.w, fn.z, fn.k
-    values = np.zeros(n_paths)
-    if x0 < 0:
-        # ruined at time zero, before any dividend
-        if kind == "joint_deficit_dividends":
-            values[:] = w ** float(-x0)
-        elif kind == "ruin_prob":
-            values[:] = 1.0
-        elif kind == "bailout_pv":
-            values[:] = float(-x0)
-        elif kind == "modified_value":
-            values[:] = -k * float(-x0)
-        return values, 0
-    r0 = max(x0 - b, 0)
-    divacc = np.full(n_paths, float(r0))
-    divcnt = np.full(n_paths, r0, dtype=np.int64)
-    idx = np.arange(n_paths)
-    x = np.full(n_paths, min(x0, b), dtype=np.int64)
-    disc = 1.0
-    t = 0
-    while idx.size and t < cap:
-        t += 1
-        disc *= v
-        x = x + 1 - sampler.draw(rng.random(idx.size))
-        ruined = x < 0
-        if np.any(ruined):
-            hit = idx[ruined]
-            deficit = -x[ruined].astype(float)
-            if kind == "dividends_pv":
-                values[hit] = divacc[ruined]
-            elif kind == "joint_deficit_dividends":
-                values[hit] = disc * w**deficit * z ** divcnt[ruined].astype(float)
-            elif kind == "ruin_prob":
-                values[hit] = 1.0
-            elif kind == "bailout_pv":
-                values[hit] = disc * deficit
-            else:  # modified_value
-                values[hit] = divacc[ruined] - k * disc * deficit
-        keep = ~ruined
-        idx = idx[keep]
-        x = x[keep]
-        divacc = divacc[keep]
-        divcnt = divcnt[keep]
-        paid = x > b
-        divacc[paid] += disc
-        divcnt[paid] += 1
-        np.minimum(x, b, out=x)
-    if idx.size and kind in ("dividends_pv", "modified_value"):
-        values[idx] = divacc
-    return values, int(idx.size)
-
-
-def _run_reflect_lower(sampler, x0, fn, n_paths, rng, cap):
-    v, w = fn.v, fn.w
-    target = fn.level
-    if target is None or target < 0:
-        raise InvalidFunctional("injection_mgf needs a nonnegative target level")
-    values = np.zeros(n_paths)
-    if x0 >= target:
-        values[:] = 1.0
-        return values, 0
-    inj0 = max(-x0, 0)
-    racc = np.full(n_paths, inj0, dtype=np.int64)
-    idx = np.arange(n_paths)
-    x = np.full(n_paths, max(x0, 0), dtype=np.int64)
-    disc = 1.0
-    t = 0
-    while idx.size and t < cap:
-        t += 1
-        disc *= v
-        x = x + 1 - sampler.draw(rng.random(idx.size))
-        neg = x < 0
-        racc[neg] += -x[neg]
-        x[neg] = 0
-        hit = x >= target
-        values[idx[hit]] = disc * w ** racc[hit].astype(float)
-        keep = ~hit
-        idx = idx[keep]
-        x = x[keep]
-        racc = racc[keep]
-    return values, int(idx.size)
-
-
-def _run_doubly(sampler, x0, fn, n_paths, rng, cap, b):
-    v, k = fn.v, fn.k
-    div = np.full(n_paths, float(max(x0 - b, 0)))
-    bail = np.full(n_paths, float(max(-x0, 0)))
-    x = np.full(n_paths, min(max(x0, 0), b), dtype=np.int64)
-    disc = 1.0
-    for _ in range(cap):
-        disc *= v
-        x = x + 1 - sampler.draw(rng.random(n_paths))
-        neg = x < 0
-        bail[neg] += disc * -x[neg].astype(float)
-        x[neg] = 0
-        paid = x > b
-        div[paid] += disc
-        np.minimum(x, b, out=x)
-    if fn.kind == "doubly_dividends":
-        values = div
-    elif fn.kind == "doubly_bailouts":
-        values = bail
-    else:
-        values = div - k * bail
-    return values, n_paths
 
 
 def simulate(
@@ -382,27 +327,14 @@ def simulate(
     for name, val in (("w", functional.w), ("z", functional.z)):
         if not 0.0 < val <= 1.0:
             raise DomainError(f"transform argument {name} = {val} outside (0, 1]")
-    if functional.kind not in _POLICY_KINDS[policy.kind]:
+    kind = _KINDS.get(functional.kind)
+    if kind is None or kind.policy != policy.kind:
         raise InvalidFunctional(
             f"functional {functional.kind!r} not available under policy "
             f"{policy.kind!r}"
         )
-    sampler = _ClaimSampler(dist)
-    rng = _rng(seed, stream)
-    if policy.kind == "free":
-        values, capped = _run_free(sampler, x0, functional, n_paths, rng, horizon_cap)
-    elif policy.kind == "reflect_upper":
-        values, capped = _run_reflect_upper(
-            sampler, x0, functional, n_paths, rng, horizon_cap, policy.b
-        )
-    elif policy.kind == "reflect_lower_0":
-        values, capped = _run_reflect_lower(
-            sampler, x0, functional, n_paths, rng, horizon_cap
-        )
-    else:
-        values, capped = _run_doubly(
-            sampler, x0, functional, n_paths, rng, horizon_cap, policy.b
-        )
+    values, capped = _run(_ClaimSampler(dist), x0, functional, kind, n_paths,
+                          _rng(seed, stream), horizon_cap, policy.b)
     return _estimate(values, seed, horizon_cap, capped)
 
 
@@ -455,9 +387,18 @@ def geometric_law_chisquare(
     min_expected are lumped into one tail cell. Returns (statistic,
     p_value).
     """
-    n = len(counts)
+    counts = np.asarray(counts)
+    n = counts.size
     if n == 0:
         raise DomainError("no samples")
+    if counts.ndim != 1 or counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise DomainError("counts must be a flat array of nonnegative integers")
+    if not 0.0 < theta < 1.0:  # also rejects nan
+        raise DomainError(f"geometric parameter {theta} outside (0, 1)")
+    if not min_expected > 0.0:  # else the tail loop never ends
+        raise DomainError(f"min_expected = {min_expected} must be positive")
+    from scipy import stats as sp_stats  # costs ~0.6 s, so only when used
+
     probs = []
     r = 0
     while True:
@@ -494,6 +435,14 @@ def _registry_models():
     return three_point, two_point, four_point, heavy
 
 
+def _sim(dist, x0, policy, kind, cap=None, **spec):
+    """A registry estimate: the functional kind(**spec) simulated from
+    x0 under policy, capped at cap or else at the default horizon."""
+    fn = FunctionalSpec(kind, **spec)
+    cap = default_horizon_cap(fn.v) if cap is None else cap
+    return lambda seed, n, stream: simulate(dist, x0, policy, fn, n, seed, cap, stream)
+
+
 def default_registry() -> list[RegistryEntry]:
     """The cross-check catalogue backing mc-verify and the acceptance
     suite: one entry per passage or dividend functional, each with an
@@ -503,212 +452,83 @@ def default_registry() -> list[RegistryEntry]:
     from .model import DiscountedModel
     from .scale import w_table
 
-    three_point, two_point, four_point, heavy = _registry_models()
-    entries: list[RegistryEntry] = []
+    three, two, four, heavy = _registry_models()
+    free, lower = PolicySpec("free"), PolicySpec("reflect_lower_0")
+    up2, up3, up5 = (PolicySpec("reflect_upper", b) for b in (2, 3, 5))
+    doubly = PolicySpec("doubly_reflected", 4)
+    v2, v9 = 150.0 / 169.0, 65.0 / 72.0
 
-    def add(name, analytic, estimate):
-        entries.append(RegistryEntry(name=name, analytic=analytic, estimate=estimate))
-
-    def table_for(dist, v, x_max=420):
+    def tab(dist, v, x_max=20):
         return w_table(DiscountedModel(dist, v), x_max)
 
-    # 1. unrestricted upward passage price phi_v^b
-    def _e1(seed, n, stream):
-        fn = FunctionalSpec(kind="passage_up", v=0.9, level=3)
-        return simulate(three_point, 0, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(0.9), stream)
-
-    add("passage_up:three_point,v=0.9,b=3",
-        lambda: lundberg.phi(three_point, 0.9) ** 3, _e1)
-
-    # 2. two-sided upward exit
-    v2 = 150.0 / 169.0
-
-    def _e2(seed, n, stream):
-        fn = FunctionalSpec(kind="two_sided_up", v=v2, level=6)
-        return simulate(three_point, 2, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(v2), stream)
-
-    add("two_sided_up:three_point,x=2,N=6",
-        lambda: passage.two_sided_up(table_for(three_point, v2, 20), 2, 6), _e2)
-
-    # 3. deficit transform with an upper kill
-    def _e3(seed, n, stream):
-        fn = FunctionalSpec(kind="deficit_gf", v=v2, w=0.7, level=5)
-        return simulate(three_point, 1, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(v2), stream)
-
-    add("deficit_gf:three_point,x=1,b=5,w=0.7",
-        lambda: passage.deficit_gf(table_for(three_point, v2, 20), 1, 5, 0.7), _e3)
-
-    # 4. expected discounted deficit
-    def _e4(seed, n, stream):
-        fn = FunctionalSpec(kind="expected_deficit", v=0.9, level=5)
-        return simulate(four_point, 0, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(0.9), stream)
-
-    add("expected_deficit:four_point,x=0,b=5",
-        lambda: passage.expected_deficit(table_for(four_point, 0.9, 20), 0, 5), _e4)
-
-    # 5. discounted ruin, no upper barrier
-    def _e5(seed, n, stream):
-        fn = FunctionalSpec(kind="discounted_ruin", v=0.9)
-        return simulate(heavy, 2, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(0.9), stream)
-
-    add("discounted_ruin:heavy,x=2",
-        lambda: passage.discounted_ruin(table_for(heavy, 0.9, 20), 2), _e5)
-
-    # 6. eventual ruin probability (v = 1); a high absorbing level
-    # truncates paths once their residual ruin probability is < 1e-12
-    def _e6(seed, n, stream):
-        fn = FunctionalSpec(kind="ruin_indicator", v=1.0, level=40)
-        return simulate(three_point, 0, PolicySpec("free"), fn, n, seed, 4000, stream)
-
-    add("eventual_ruin:three_point,x=0",
-        lambda: passage.eventual_ruin(table_for(three_point, 1.0, 20), 0), _e6)
-
-    # 7. discounted deficit transform without any barrier
-    def _e7(seed, n, stream):
-        fn = FunctionalSpec(kind="deficit_gf", v=0.85, w=0.6)
-        return simulate(heavy, 2, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(0.85), stream)
-
-    add("discounted_ruin_gf:heavy,x=2,w=0.6",
-        lambda: passage.discounted_ruin_gf(table_for(heavy, 0.85), 2, 0.6), _e7)
-
-    # 8. finite-time ruin probability, horizon used as an exact cap
-    def _e8(seed, n, stream):
-        fn = FunctionalSpec(kind="ruin_indicator", v=1.0)
-        return simulate(three_point, 1, PolicySpec("free"), fn, n, seed, 12, stream)
-
-    add("finite_time_ruin:three_point,x=1,n=12",
-        lambda: float(passage.finite_time_ruin(three_point, 12, 1).ruin[12, 1]), _e8)
-
-    # 9. resolvent of the two-sided killed walk
-    v9 = 65.0 / 72.0
-
-    def _e9(seed, n, stream):
-        fn = FunctionalSpec(kind="resolvent", v=v9, level=4, target_state=2)
-        return simulate(two_point, 1, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(v9), stream)
-
-    add("killed_resolvent:two_point,i=1,j=2,N=4",
-        lambda: passage.killed_resolvent(table_for(two_point, v9, 20), 1, 2, 4), _e9)
-
-    # 10. scale value collected at a downcrossing
-    def _e10(seed, n, stream):
-        tab = table_for(two_point, v9, 20)
-        weights = tuple(tab.w(y) for y in range(1))
-        fn = FunctionalSpec(kind="downcross_w", v=v9, level=1, upper=4,
-                            weights=weights)
-        return simulate(two_point, 2, PolicySpec("free"), fn, n, seed,
-                        default_horizon_cap(v9), stream)
-
-    add("w_at_downcrossing:two_point,x=2,b=1,N=4",
-        lambda: passage.w_at_downcrossing(table_for(two_point, v9, 20), 2, 1, 4),
-        _e10)
-
-    # 11. de Finetti dividend value
-    def _e11(seed, n, stream):
-        fn = FunctionalSpec(kind="dividends_pv", v=v9)
-        return simulate(two_point, 2, PolicySpec("reflect_upper", 2), fn, n, seed,
-                        default_horizon_cap(v9), stream)
-
-    add("definetti_value:two_point,b=2,x=2",
-        lambda: dv.definetti_value(table_for(two_point, v9, 20), 2, 2), _e11)
-
-    # 12. capital injection transform up to a target level
-    def _e12(seed, n, stream):
-        fn = FunctionalSpec(kind="injection_mgf", v=0.999, w=0.5, level=4)
-        return simulate(four_point, 0, PolicySpec("reflect_lower_0"), fn, n, seed,
-                        default_horizon_cap(0.999), stream)
-
-    add("injections_mgf:four_point,x=0,b=4,w=0.5",
-        lambda: dv.injections_mgf(table_for(four_point, 0.999, 20), 4, 0, 0.5), _e12)
-
-    # 13. joint dividends-deficit transform
-    def _e13(seed, n, stream):
-        fn = FunctionalSpec(kind="joint_deficit_dividends", v=v9, w=0.7, z=0.9)
-        return simulate(two_point, 1, PolicySpec("reflect_upper", 2), fn, n, seed,
-                        default_horizon_cap(v9), stream)
-
-    add("joint_dividends_deficit:two_point,b=2,x=1,w=0.7,z=0.9",
-        lambda: dv.joint_dividends_deficit(table_for(two_point, v9, 20), 2, 1, 0.7, 0.9),
-        _e13)
-
-    # 14. ruin transform of the barrier-reflected walk
-    def _e14(seed, n, stream):
-        fn = FunctionalSpec(kind="joint_deficit_dividends", v=0.999, w=0.4, z=1.0)
-        return simulate(four_point, 0, PolicySpec("reflect_upper", 3), fn, n, seed,
-                        default_horizon_cap(0.999), stream)
-
-    add("reflected_ruin_gf:four_point,b=3,x=0,w=0.4",
-        lambda: dv.reflected_ruin_gf(table_for(four_point, 0.999, 20), 3, 0, 0.4),
-        _e14)
-
-    # 15. mean of the killed dividend count against its geometric law
-    def _e15(seed, n, stream):
-        counts = dividend_count_samples(two_point, 2, v9, 2, n, seed, stream)
-        vals = counts.astype(float)
-        return _estimate(vals, seed, 0, 0)
-
-    def _a15():
-        theta = dv.dividends_law_at_barrier(table_for(two_point, v9, 20), 2)
+    def dividends_law_mean():
+        theta = dv.dividends_law_at_barrier(tab(two, v9), 2)
         return (1.0 - theta) / theta
 
-    add("dividends_law_mean:two_point,b=2", _a15, _e15)
-
-    # 16. bailout value under upper reflection
-    def _e16(seed, n, stream):
-        fn = FunctionalSpec(kind="bailout_pv", v=0.999)
-        return simulate(four_point, 2, PolicySpec("reflect_upper", 5), fn, n, seed,
-                        default_horizon_cap(0.999), stream)
-
-    add("bailout_value_reflected:four_point,b=5,x=2",
-        lambda: dv.bailout_value_reflected(table_for(four_point, 0.999, 20), 5, 2),
-        _e16)
-
-    # 17/18. the doubly reflected pair
-    def _e17(seed, n, stream):
-        fn = FunctionalSpec(kind="doubly_dividends", v=0.8)
-        return simulate(four_point, 2, PolicySpec("doubly_reflected", 4), fn, n, seed,
-                        default_horizon_cap(0.8), stream)
-
-    add("doubly_dividends:four_point,b=4,x=2",
-        lambda: dv.doubly_reflected_values(table_for(four_point, 0.8, 20), 4, 2)[0],
-        _e17)
-
-    def _e18(seed, n, stream):
-        fn = FunctionalSpec(kind="doubly_bailouts", v=0.8)
-        return simulate(four_point, 2, PolicySpec("doubly_reflected", 4), fn, n, seed,
-                        default_horizon_cap(0.8), stream)
-
-    add("doubly_bailouts:four_point,b=4,x=2",
-        lambda: dv.doubly_reflected_values(table_for(four_point, 0.8, 20), 4, 2)[1],
-        _e18)
-
-    # 19. dividends minus k * deficit under upper reflection
-    def _e19(seed, n, stream):
-        fn = FunctionalSpec(kind="modified_value", v=0.9, k=1.2)
-        return simulate(four_point, 2, PolicySpec("reflect_upper", 5), fn, n, seed,
-                        default_horizon_cap(0.9), stream)
-
-    add("modified_value:four_point,b=5,x=2,k=1.2",
-        lambda: dv.modified_definetti_value(table_for(four_point, 0.9, 20), 5, 2, 1.2),
-        _e19)
-
-    # 20. dividends minus k * bailouts under double reflection
-    def _e20(seed, n, stream):
-        fn = FunctionalSpec(kind="doubly_value", v=0.8, k=1.2)
-        return simulate(four_point, 2, PolicySpec("doubly_reflected", 4), fn, n, seed,
-                        default_horizon_cap(0.8), stream)
-
-    add("doubly_value:four_point,b=4,x=2,k=1.2",
-        lambda: dv.doubly_reflected_value(table_for(four_point, 0.8, 20), 4, 2, 1.2),
-        _e20)
-
-    return entries
+    # eventual ruin (v = 1) is truncated at a level where the residual
+    # ruin probability is < 1e-12; finite-time ruin caps at its horizon
+    rows = [
+        ("passage_up:three_point,v=0.9,b=3", lambda: lundberg.phi(three, 0.9) ** 3,
+         _sim(three, 0, free, "passage_up", v=0.9, level=3)),
+        ("two_sided_up:three_point,x=2,N=6",
+         lambda: passage.two_sided_up(tab(three, v2), 2, 6),
+         _sim(three, 2, free, "two_sided_up", v=v2, level=6)),
+        ("deficit_gf:three_point,x=1,b=5,w=0.7",
+         lambda: passage.deficit_gf(tab(three, v2), 1, 5, 0.7),
+         _sim(three, 1, free, "deficit_gf", v=v2, w=0.7, level=5)),
+        ("expected_deficit:four_point,x=0,b=5",
+         lambda: passage.expected_deficit(tab(four, 0.9), 0, 5),
+         _sim(four, 0, free, "expected_deficit", v=0.9, level=5)),
+        ("discounted_ruin:heavy,x=2", lambda: passage.discounted_ruin(tab(heavy, 0.9), 2),
+         _sim(heavy, 2, free, "discounted_ruin", v=0.9)),
+        ("eventual_ruin:three_point,x=0", lambda: passage.eventual_ruin(tab(three, 1.0), 0),
+         _sim(three, 0, free, "ruin_indicator", 4000, v=1.0, level=40)),
+        ("discounted_ruin_gf:heavy,x=2,w=0.6",
+         lambda: passage.discounted_ruin_gf(tab(heavy, 0.85, 420), 2, 0.6),
+         _sim(heavy, 2, free, "deficit_gf", v=0.85, w=0.6)),
+        ("finite_time_ruin:three_point,x=1,n=12",
+         lambda: float(passage.finite_time_ruin(three, 12, 1).ruin[12, 1]),
+         _sim(three, 1, free, "ruin_indicator", 12, v=1.0)),
+        ("killed_resolvent:two_point,i=1,j=2,N=4",
+         lambda: passage.killed_resolvent(tab(two, v9), 1, 2, 4),
+         _sim(two, 1, free, "resolvent", v=v9, level=4, target_state=2)),
+        ("w_at_downcrossing:two_point,x=2,b=1,N=4",
+         lambda: passage.w_at_downcrossing(tab(two, v9), 2, 1, 4),
+         _sim(two, 2, free, "downcross_w", v=v9, level=1, upper=4,
+              weights=(tab(two, v9).w(0),))),
+        ("definetti_value:two_point,b=2,x=2",
+         lambda: dv.definetti_value(tab(two, v9), 2, 2),
+         _sim(two, 2, up2, "dividends_pv", v=v9)),
+        ("injections_mgf:four_point,x=0,b=4,w=0.5",
+         lambda: dv.injections_mgf(tab(four, 0.999), 4, 0, 0.5),
+         _sim(four, 0, lower, "injection_mgf", v=0.999, w=0.5, level=4)),
+        ("joint_dividends_deficit:two_point,b=2,x=1,w=0.7,z=0.9",
+         lambda: dv.joint_dividends_deficit(tab(two, v9), 2, 1, 0.7, 0.9),
+         _sim(two, 1, up2, "joint_deficit_dividends", v=v9, w=0.7, z=0.9)),
+        ("reflected_ruin_gf:four_point,b=3,x=0,w=0.4",
+         lambda: dv.reflected_ruin_gf(tab(four, 0.999), 3, 0, 0.4),
+         _sim(four, 0, up3, "joint_deficit_dividends", v=0.999, w=0.4, z=1.0)),
+        ("dividends_law_mean:two_point,b=2", dividends_law_mean,
+         lambda seed, n, stream: _estimate(
+             dividend_count_samples(two, 2, v9, 2, n, seed, stream).astype(float),
+             seed, 0, 0)),
+        ("bailout_value_reflected:four_point,b=5,x=2",
+         lambda: dv.bailout_value_reflected(tab(four, 0.999), 5, 2),
+         _sim(four, 2, up5, "bailout_pv", v=0.999)),
+        ("doubly_dividends:four_point,b=4,x=2",
+         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[0],
+         _sim(four, 2, doubly, "doubly_dividends", v=0.8)),
+        ("doubly_bailouts:four_point,b=4,x=2",
+         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[1],
+         _sim(four, 2, doubly, "doubly_bailouts", v=0.8)),
+        ("modified_value:four_point,b=5,x=2,k=1.2",
+         lambda: dv.modified_definetti_value(tab(four, 0.9), 5, 2, 1.2),
+         _sim(four, 2, up5, "modified_value", v=0.9, k=1.2)),
+        ("doubly_value:four_point,b=4,x=2,k=1.2",
+         lambda: dv.doubly_reflected_value(tab(four, 0.8), 4, 2, 1.2),
+         _sim(four, 2, doubly, "doubly_value", v=0.8, k=1.2)),
+    ]
+    return [RegistryEntry(*row) for row in rows]
 
 
 def run_registry(seed: int = 42, n_paths: int = 10**6) -> list[dict]:

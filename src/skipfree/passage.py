@@ -311,9 +311,3 @@ def expected_stopped_z(table: ScaleTable, x: int, w: float, n: int) -> float:
     zw = table.zw_array(w)
     vals = zw[: len(q)]
     return float(disc * np.dot(q, vals) + absorbed)
-
-
-# Interface aliases under longer descriptive names.
-deficit_gf_two_sided = deficit_gf
-expected_deficit_two_sided = expected_deficit
-psi_vw = discounted_ruin_gf

@@ -4,9 +4,16 @@ Full-size verification lives in the acceptance module; everything here
 runs with small path counts to keep the suite quick.
 """
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import skipfree
 from skipfree import (
     DomainError,
     FunctionalSpec,
@@ -16,6 +23,8 @@ from skipfree import (
     default_horizon_cap,
     dividend_count_samples,
     doubly_reflected_values,
+    geometric_law_chisquare,
+    injections_mgf,
     run_dividends_chisquare,
     run_registry,
     simulate,
@@ -163,3 +172,64 @@ def test_doubly_reflected_spot_check(four_point, gsy_tab):
     )
     analytic = doubly_reflected_values(gsy_tab, 25, 25)[0]
     assert abs(est.mean - analytic) <= 5.0 * est.std_error
+
+
+def test_injection_target_zero_is_reached_at_time_zero(four_point):
+    # reflected at 0 from x0 = -2, the walk sits on the target 0 at
+    # t = 0 having been injected 2: the transform is exactly w^2
+    est = simulate(
+        four_point, -2, PolicySpec("reflect_lower_0"),
+        FunctionalSpec("injection_mgf", v=0.9, w=0.5, level=0), 100, seed=1,
+    )
+    table = cached_table(four_point, 0.9, 10)
+    assert est.mean == 0.25 == injections_mgf(table, 0, -2, 0.5)
+    assert est.std_error == 0.0 and est.capped_fraction == 0.0
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging if the block does not finish in time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), 0.0, 1.0, 1.5, -0.2, float("inf")])
+def test_chisquare_rejects_theta_outside_unit_interval(theta):
+    counts = np.arange(100) % 4
+    with _deadline(1.0), pytest.raises(DomainError):
+        geometric_law_chisquare(counts, theta)
+
+
+@pytest.mark.parametrize("min_expected", [0.0, -1.0, float("nan")])
+def test_chisquare_rejects_nonpositive_min_expected(min_expected):
+    counts = np.arange(100) % 4
+    with _deadline(1.0), pytest.raises(DomainError):
+        geometric_law_chisquare(counts, 0.5, min_expected)
+
+
+@pytest.mark.parametrize("counts", [
+    np.append(np.arange(99) % 4, -1),
+    (np.arange(100) % 4).astype(float),
+    (np.arange(100) % 4).reshape(50, 2),
+    np.array([], dtype=np.int64),
+])
+def test_chisquare_rejects_counts_that_are_not_nonnegative_integers(counts):
+    with pytest.raises(DomainError):
+        geometric_law_chisquare(counts, 0.5)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = os.path.dirname(os.path.dirname(skipfree.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, skipfree; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

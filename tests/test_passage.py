@@ -13,18 +13,15 @@ from skipfree import (
     NoConvergence,
     OutOfTable,
     deficit_gf,
-    deficit_gf_two_sided,
     discounted_ruin,
     discounted_ruin_gf,
     eventual_ruin,
     eventual_survival_transform,
     expected_deficit,
-    expected_deficit_two_sided,
     expected_stopped_w,
     expected_stopped_z,
     finite_time_ruin,
     killed_resolvent,
-    psi_vw,
     ruin_double_transform,
     ruin_limit_ratio,
     ruin_limit_ratio_series,
@@ -104,13 +101,11 @@ def test_deficit_gf_matches_value_iteration(three_point, three_tab_09):
                 dp[x], abs=1e-13
             )
     assert deficit_gf(three_tab_09, 6, 6, 0.7) == 0.0
-    assert deficit_gf_two_sided is deficit_gf
 
 
 def test_expected_deficit_sign_and_alias(three_tab_09):
     for x in range(5):
         assert expected_deficit(three_tab_09, x, 6) <= 0.0
-    assert expected_deficit_two_sided is expected_deficit
 
 
 def test_discounted_ruin_matches_value_iteration(three_point, three_tab_09):
@@ -126,7 +121,6 @@ def test_discounted_ruin_gf_matches_value_iteration(three_point, three_tab_09):
         assert discounted_ruin_gf(three_tab_09, x, 0.7) == pytest.approx(
             dp[x], abs=1e-12
         )
-    assert psi_vw is discounted_ruin_gf
     assert discounted_ruin_gf(three_tab_09, -2, 0.7) == pytest.approx(0.7**2)
 
 
