@@ -1,14 +1,20 @@
 """Command line front end.
 
-Subcommands: scale (CSV table of W, dW, Z, Z1), ruin (eventual,
-discounted, or finite-horizon ruin probabilities), passage (one-shot
-passage functionals as JSON), optimize (barrier optimization with full
-influence trace), mc-verify (analytic vs Monte Carlo registry),
-examples (golden reference checks), embed (Levy chain tables).
+Each subcommand accepts only the flags it reads:
+
+  scale      CSV table of W, dW, Z, Z1: --model --v --xmax
+  ruin       eventual, discounted or finite-horizon ruin probabilities:
+             --model --v --xmax --n --out --rescaled
+  passage    passage functionals at one level: --model --v --xmax --x --b --w --out
+  optimize   barrier optimization with its full influence trace:
+             --model --v --xmax --bmax --objective --k --x --rescaled
+  mc-verify  analytic vs Monte Carlo registry: --seed --npaths --chi-npaths
+  examples   golden reference checks, one line each: no flags
+  embed      Levy chain tables: --model --xmax --gamma --step --q
 
 Exit codes: 0 on success, 1 when a golden check or MC concordance
-fails, 2 on configuration errors (message on standard error, no
-partial output).
+fails, 2 on configuration errors, unknown flags included (message on
+standard error, no partial output).
 """
 
 from __future__ import annotations
@@ -48,6 +54,32 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+# Every flag, defined once; each subcommand names the flags it reads.
+_FLAGS = {
+    "model": dict(help="path to a model JSON file"),
+    "v": dict(type=_rational, default=1.0,
+              help="discount factor in (0, 1], decimal or a/b (default 1)"),
+    "xmax": dict(type=int, default=100, help="largest level tabulated (default 100)"),
+    "bmax": dict(type=int, default=50, help="largest barrier scanned (default 50)"),
+    "seed": dict(type=int, default=42, help="base seed for Monte Carlo (default 42)"),
+    "out": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
+    "rescaled": dict(action="store_true",
+                     help="build the table in tilted form for deep levels"),
+    "n": dict(type=int, default=None, help="finite horizon; omit for the v=1 / v<1 split"),
+    "x": dict(type=int, default=0, help="starting level"),
+    "b": dict(type=int, default=50, help="upper target level (default 50)"),
+    "w": dict(type=_rational, default=1.0, help="deficit transform argument in (0, 1]"),
+    "objective": dict(choices=sorted(_OBJECTIVES), default="definetti"),
+    "k": dict(type=float, default=None, help="bailout weight (required for modified/doubly)"),
+    "npaths": dict(type=int, default=10**6, help="paths per registry entry (default 1e6)"),
+    "chi-npaths": dict(type=int, default=10**5,
+                       help="paths for the dividends chi-square test (default 1e5)"),
+    "gamma": dict(type=float, required=True, help="jump intensity of the embedded chain"),
+    "step": dict(type=float, required=True, help="lattice step h"),
+    "q": dict(type=float, nargs="+", required=True, help="discount rates q >= 0"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skipfree",
@@ -55,72 +87,26 @@ def _build_parser() -> argparse.ArgumentParser:
         "for upwards skip-free random walks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="path to a model JSON file")
-    common.add_argument(
-        "--v", type=_rational, default=1.0,
-        help="discount factor in (0, 1], decimal or a/b (default 1)",
-    )
-    common.add_argument("--xmax", type=int, default=100,
-                        help="largest level tabulated (default 100)")
-    common.add_argument("--bmax", type=int, default=50,
-                        help="largest barrier scanned (default 50)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="base seed for Monte Carlo (default 42)")
-    common.add_argument("--out", choices=("csv", "json"), default="csv",
-                        help="output format where both apply (default csv)")
-    common.add_argument("--rescaled", action="store_true",
-                        help="build the table in tilted form for deep levels")
-
-    p = sub.add_parser("scale", parents=[common],
-                       help="emit the scale function table as CSV")
-    p.set_defaults(func=cmd_scale)
-
-    p = sub.add_parser("ruin", parents=[common],
-                       help="ruin probabilities (eventual, discounted, or --n steps)")
-    p.add_argument("--n", type=int, default=None,
-                   help="finite horizon; omit for the v=1 / v<1 split")
-    p.set_defaults(func=cmd_ruin)
-
-    p = sub.add_parser("passage", parents=[common],
-                       help="passage functionals at one starting level")
-    p.add_argument("--x", type=int, default=0, help="starting level")
-    p.add_argument("--b", type=int, default=None, help="upper target level")
-    p.add_argument("--w", type=_rational, default=1.0,
-                   help="deficit transform argument in (0, 1]")
-    p.set_defaults(func=cmd_passage)
-
-    p = sub.add_parser("optimize", parents=[common],
-                       help="optimize a dividend barrier and emit the trace")
-    p.add_argument("--objective", choices=sorted(_OBJECTIVES), default="definetti")
-    p.add_argument("--k", type=float, default=None,
-                   help="bailout weight (required for modified/doubly)")
-    p.add_argument("--x", type=int, default=0, help="starting level")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("mc-verify", parents=[common],
-                       help="run the analytic vs Monte Carlo registry")
-    p.add_argument("--npaths", type=int, default=10**6,
-                   help="paths per registry entry (default 1e6)")
-    p.add_argument("--chi-npaths", type=int, default=10**5,
-                   help="paths for the dividends chi-square test (default 1e5)")
-    p.set_defaults(func=cmd_mc_verify)
-
-    p = sub.add_parser("examples",
-                       help="run the bundled golden checks, one line each")
-    p.set_defaults(func=cmd_examples)
-
-    p = sub.add_parser("embed", parents=[common],
-                       help="Levy chain tables (q, Phi(q), Wq, Zq) as CSV")
-    p.add_argument("--gamma", type=float, required=True,
-                   help="jump intensity of the embedded chain")
-    p.add_argument("--step", type=float, required=True,
-                   help="lattice step h")
-    p.add_argument("--q", type=float, nargs="+", required=True,
-                   help="discount rates q >= 0")
-    p.set_defaults(func=cmd_embed)
-
+    commands = [
+        ("scale", cmd_scale, "emit the scale function table as CSV",
+         "model v xmax"),
+        ("ruin", cmd_ruin, "ruin probabilities (eventual, discounted, or --n steps)",
+         "model v xmax n out rescaled"),
+        ("passage", cmd_passage, "passage functionals at one starting level",
+         "model v xmax x b w out"),
+        ("optimize", cmd_optimize, "optimize a dividend barrier and emit the trace",
+         "model v xmax bmax objective k x rescaled"),
+        ("mc-verify", cmd_mc_verify, "run the analytic vs Monte Carlo registry",
+         "seed npaths chi-npaths"),
+        ("examples", cmd_examples, "run the bundled golden checks, one line each", ""),
+        ("embed", cmd_embed, "Levy chain tables (q, Phi(q), Wq, Zq) as CSV",
+         "model xmax gamma step q"),
+    ]
+    for name, func, text, flags in commands:
+        p = sub.add_parser(name, help=text)
+        for flag in flags.split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -131,23 +117,18 @@ def _load_model(args: argparse.Namespace) -> ClaimDistribution:
         return from_jsonable(json.load(fh))
 
 
-def _table_for(args: argparse.Namespace, x_max: int):
+def _table_for(args: argparse.Namespace, x_max: int, rescaled: bool = False):
     dist = _load_model(args)
     model = DiscountedModel(dist, args.v)
-    return w_table(model, x_max, rescaled=args.rescaled)
+    return w_table(model, x_max, rescaled=rescaled)
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
     table = _table_for(args, args.xmax + 1)
+    cols = (table.w, table.dw, table.z, table.z1)
     lines = ["x,W,dW,Z,Z1"]
     for x in range(args.xmax + 1):
-        lines.append(",".join([
-            str(x),
-            _fmt(table.w(x)),
-            _fmt(table.dw(x)),
-            _fmt(table.z(x)),
-            _fmt(table.z1(x)),
-        ]))
+        lines.append(",".join([str(x)] + [_fmt(col(x)) for col in cols]))
     print("\n".join(lines))
     return 0
 
@@ -164,7 +145,7 @@ def cmd_ruin(args: argparse.Namespace) -> int:
         ]
         header = "x,ruin,survival"
     else:
-        table = _table_for(args, args.xmax)
+        table = _table_for(args, args.xmax, args.rescaled)
         if args.v == 1.0:
             fn = passage.eventual_ruin
         else:
@@ -177,26 +158,22 @@ def cmd_ruin(args: argparse.Namespace) -> int:
         lines = [header]
         keys = header.split(",")
         for row in rows:
-            lines.append(",".join(
-                str(row[k]) if k == "x" else _fmt(row[k]) for k in keys
-            ))
+            lines.append(",".join(str(row[k]) if k == "x" else _fmt(row[k]) for k in keys))
         print("\n".join(lines))
     return 0
 
 
 def cmd_passage(args: argparse.Namespace) -> int:
-    b = args.bmax if args.b is None else args.b
-    x_max = max(args.xmax, b + 1, args.x + 1)
-    table = _table_for(args, x_max)
+    table = _table_for(args, max(args.xmax, args.b + 1, args.x + 1))
     report = {
         "v": args.v,
         "x": args.x,
-        "b": b,
+        "b": args.b,
         "w": args.w,
-        "upcrossing_price": passage.upcrossing_price(table.model, args.x, b),
-        "two_sided_up": passage.two_sided_up(table, args.x, b),
-        "deficit_gf": passage.deficit_gf(table, args.x, b, args.w),
-        "expected_deficit": passage.expected_deficit(table, args.x, b),
+        "upcrossing_price": passage.upcrossing_price(table.model, args.x, args.b),
+        "two_sided_up": passage.two_sided_up(table, args.x, args.b),
+        "deficit_gf": passage.deficit_gf(table, args.x, args.b, args.w),
+        "expected_deficit": passage.expected_deficit(table, args.x, args.b),
     }
     if args.v < 1.0:
         report["discounted_ruin"] = passage.discounted_ruin(table, args.x)
@@ -219,7 +196,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if objective != "definetti" and args.k is None:
         raise UsageError(f"--k is required for objective {args.objective}")
     k = 0.0 if args.k is None else args.k
-    table = _table_for(args, max(args.xmax, args.bmax + 2, args.x + 1))
+    table = _table_for(args, max(args.xmax, args.bmax + 2, args.x + 1), args.rescaled)
     result = dv.optimize_barrier(table, objective, k, args.x, args.bmax)
     print(json.dumps(result.to_jsonable(), indent=2))
     return 0
@@ -255,13 +232,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
     for q in args.q:
         big_phi = phi_q(params, q)
         for m in range(args.xmax + 1):
-            lines.append(",".join([
-                _fmt(q),
-                _fmt(big_phi),
-                str(m),
-                _fmt(wq(params, q, m)),
-                _fmt(zq(params, q, m)),
-            ]))
+            lines.append(",".join([_fmt(q), _fmt(big_phi), str(m),
+                                   _fmt(wq(params, q, m)), _fmt(zq(params, q, m))]))
     print("\n".join(lines))
     return 0
 
@@ -271,10 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SkipfreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (SkipfreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from .errors import Degenerate, DomainError
 from .scale import ScaleTable
 
-OBJECTIVES = ("definetti", "modified_definetti", "doubly_reflected")
-
 
 def _ratio(num: float, den: float) -> float:
     """num / den, reporting signed infinity when the denominator has
@@ -261,6 +259,19 @@ def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
     return _strict_local_minima(vals)
 
 
+# objective -> (influence(table, b, k), value(table, b, x, k)); the values are
+# called by module name, so rebinding one here also reaches the scan
+_SCAN = {
+    "definetti": (lambda t, b, k: _ratio(1.0, t.dw(b)),
+                  lambda t, b, x, k: definetti_value(t, b, x)),
+    "modified_definetti": (modified_definetti_influence,
+                           lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
+    "doubly_reflected": (doubly_reflected_influence,
+                         lambda t, b, x, k: doubly_reflected_value(t, b, x, k)),
+}
+OBJECTIVES = tuple(_SCAN)
+
+
 def optimize_barrier(
     table: ScaleTable, objective: str, k: float, x: int, b_max: int
 ) -> BarrierResult:
@@ -275,13 +286,8 @@ def optimize_barrier(
         raise DomainError(f"unknown objective {objective!r}")
     if b_max < 0:
         raise DomainError("b_max must be nonnegative")
-    if objective == "definetti":
-        _check_not_degenerate(table)
-        influence = [_ratio(1.0, table.dw(b)) for b in range(b_max + 1)]
-    elif objective == "modified_definetti":
-        influence = [modified_definetti_influence(table, b, k) for b in range(b_max + 1)]
-    else:
-        influence = [doubly_reflected_influence(table, b, k) for b in range(b_max + 1)]
+    influence_at, value_at = _SCAN[objective]
+    influence = [influence_at(table, b, k) for b in range(b_max + 1)]
     best = max(influence)
     b_star = influence.index(best)
     ties = tuple(b for b, h in enumerate(influence) if h == best)
@@ -289,12 +295,7 @@ def optimize_barrier(
     # an infinite best means the table stopped resolving dW: the scan
     # cannot certify an interior maximum
     attained = b_star < b_max - rim and math.isfinite(best)
-    if objective == "definetti":
-        value = definetti_value(table, b_star, x)
-    elif objective == "modified_definetti":
-        value = modified_definetti_value(table, b_star, x, k)
-    else:
-        value = doubly_reflected_value(table, b_star, x, k)
+    value = value_at(table, b_star, x, k)
     return BarrierResult(
         objective=objective,
         k=k,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, OverflowSignal
 from .model import ClaimDistribution, DiscountedModel
 from .lundberg import phi
 from .scale import ScaleTable, w_table
@@ -75,7 +75,11 @@ def _table_for(params: LevyChainParams, q: float, m: int) -> ScaleTable:
     size = 64
     while size < m + 1:
         size *= 2
-    return _chain_table(params, float(q), size)
+    # the padding can overflow where W(m) itself is still representable
+    try:
+        return _chain_table(params, float(q), size)
+    except OverflowSignal:
+        return _chain_table(params, float(q), m)
 
 
 def wq(params: LevyChainParams, q: float, m: int) -> float:

@@ -9,6 +9,7 @@ turns first-passage quantities into generating functions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -24,6 +25,8 @@ TABLE = "table"
 MODIFIED_GEOMETRIC = "modified_geometric"
 
 _SUM_TOL = 1e-12
+# the fields each model type reads from its JSON object
+_FIELDS = {TABLE: ("pmf",), MODIFIED_GEOMETRIC: ("p0", "p1", "alpha")}
 
 
 def _to_fraction(value: Rational) -> Fraction:
@@ -37,6 +40,8 @@ def _to_fraction(value: Rational) -> Fraction:
     if isinstance(value, (int, np.integer)):
         return Fraction(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise NotADistribution(f"{value!r} is not a finite number")
         return Fraction(float(value))
     raise NotADistribution(f"unsupported probability type {type(value).__name__}")
 
@@ -54,6 +59,11 @@ class ClaimDistribution:
     kind: str
     pmf: tuple[float, ...]
     alpha: float = 0.0
+
+    def __post_init__(self) -> None:
+        # catches a positive p_0 that rounds to zero as a float
+        if not self.pmf[0] > 0.0:
+            raise NonPositiveP0(f"p_0 = {self.pmf[0]} must be positive")
 
     @property
     def p0(self) -> float:
@@ -156,15 +166,21 @@ def validate(values: Iterable[Rational]) -> ClaimDistribution:
     """Build a table distribution from probabilities indexed by claim size.
 
     Accepts ints, floats, Fractions, and rational strings such as "2/3".
-    The entries must be nonnegative and sum to 1 within 1e-12; the sum is
-    then normalized away exactly. Raises NonPositiveP0 when p_0 <= 0 and
-    NotADistribution for other defects.
+    The entries must be finite, in [0, 1] and sum to 1 within 1e-12; the
+    sum is then normalized away exactly. Raises NonPositiveP0 when p_0 <= 0
+    (or rounds to 0.0) and NotADistribution for other defects.
     """
+    try:
+        values = list(values)
+    except TypeError:
+        raise NotADistribution("probabilities must be a list") from None
     fracs = [_to_fraction(x) for x in values]
     if not fracs:
         raise NotADistribution("empty probability table")
+    if any(f > 1 for f in fracs):
+        raise NotADistribution("probability entry above 1")
     if fracs[0] <= 0:
-        raise NonPositiveP0(f"p_0 = {float(fracs[0])} must be positive")
+        raise NonPositiveP0(f"p_0 = {values[0]} must be positive")
     if any(f < 0 for f in fracs[1:]):
         raise NotADistribution("negative probability entry")
     total = sum(fracs)
@@ -184,11 +200,11 @@ def modified_geometric(p0: Rational, p1: Rational, alpha: Rational) -> ClaimDist
     """
     f0, f1, fa = _to_fraction(p0), _to_fraction(p1), _to_fraction(alpha)
     if f0 <= 0:
-        raise NonPositiveP0(f"p_0 = {float(f0)} must be positive")
+        raise NonPositiveP0(f"p_0 = {p0} must be positive")
     if f1 < 0:
         raise NotADistribution("p_1 must be nonnegative")
     if not 0 <= fa < 1:
-        raise NotADistribution(f"alpha = {float(fa)} outside [0, 1)")
+        raise NotADistribution(f"alpha = {alpha} outside [0, 1)")
     if f0 + f1 >= 1:
         raise NotADistribution(
             "p0 + p1 must be strictly below 1; use a plain table otherwise"
@@ -203,15 +219,20 @@ def modified_geometric(p0: Rational, p1: Rational, alpha: Rational) -> ClaimDist
 def from_jsonable(obj: dict | str) -> ClaimDistribution:
     """Inverse of ClaimDistribution.to_jsonable; also accepts a JSON string."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except ValueError as exc:
+            raise NotADistribution(f"invalid model JSON: {exc}") from None
     if not isinstance(obj, dict) or "type" not in obj:
         raise NotADistribution("model JSON must be an object with a 'type' field")
     kind = obj["type"]
-    if kind == TABLE:
-        return validate(obj["pmf"])
-    if kind == MODIFIED_GEOMETRIC:
-        return modified_geometric(obj["p0"], obj["p1"], obj["alpha"])
-    raise WrongKind(f"unknown distribution type {kind!r}")
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise WrongKind(f"unknown distribution type {kind!r}")
+    missing = [name for name in _FIELDS[kind] if name not in obj]
+    if missing:
+        raise NotADistribution(f"{kind} model needs {', '.join(missing)}")
+    args = [obj[name] for name in _FIELDS[kind]]
+    return validate(*args) if kind == TABLE else modified_geometric(*args)
 
 
 @dataclass(frozen=True)

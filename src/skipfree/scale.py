@@ -28,18 +28,27 @@ _SELF_CHECK_RTOL = 1e-10
 _DH_TARGET = 1e-12
 
 
-def _w_array(model: DiscountedModel, x_max: int) -> np.ndarray:
-    """Forward harmonic recursion for W(0..x_max)."""
-    v = model.v
-    p = model.dist.pmf_upto(x_max + 1)
-    w = np.empty(x_max + 1)
-    w[0] = 1.0 / p[0]
-    # overflow is detected by the caller; keep the loop warning-free
+def _recur(coef, y0: float, growth: tuple[float, float], x_max: int, forcing) -> np.ndarray:
+    """Forward step shared by the W, tilted-W and Z recursions.
+
+    y(x+1) = (y(x) * num / den - sum_{k>=1} coef_k y(x+1-k) - forcing(x))
+    / coef_0 from y(0) = y0, where growth = (num, den).
+    """
+    num, den = growth
+    y = np.empty(x_max + 1)
+    y[0] = y0
+    # overflow is detected by the callers; keep the loop warning-free
     with np.errstate(over="ignore", invalid="ignore"):
         for x in range(x_max):
-            s = float(np.dot(p[1 : x + 2], w[x::-1]))
-            w[x + 1] = (w[x] / v - s) / p[0]
-    return w
+            s = float(np.dot(coef[1 : x + 2], y[x::-1]))
+            y[x + 1] = (y[x] * num / den - s - forcing[x]) / coef[0]
+    return y
+
+
+def _w_array(model: DiscountedModel, x_max: int) -> np.ndarray:
+    """Forward harmonic recursion for W(0..x_max)."""
+    p = model.dist.pmf_upto(x_max + 1)
+    return _recur(p, 1.0 / p[0], (1.0, model.v), x_max, np.zeros(x_max))
 
 
 def _w_array_alt(model: DiscountedModel, x_max: int) -> np.ndarray:
@@ -62,33 +71,22 @@ def _w_array_alt(model: DiscountedModel, x_max: int) -> np.ndarray:
 
 def _w_array_tilted(model: DiscountedModel, x_max: int) -> np.ndarray:
     """Recursion for W(x) * phi^x, which stays bounded by A / phi."""
-    v, f = model.v, model.phi_v
+    f = model.phi_v
     p = model.dist.pmf_upto(x_max + 1)
     t = p * f ** np.arange(x_max + 2, dtype=float)
-    growth = f / v
-    w = np.empty(x_max + 1)
-    w[0] = 1.0 / p[0]
-    for x in range(x_max):
-        s = float(np.dot(t[1 : x + 2], w[x::-1]))
-        w[x + 1] = (w[x] * growth - s) / p[0]
-    return w
+    return _recur(t, 1.0 / p[0], (f / model.v, 1.0), x_max, np.zeros(x_max))
 
 
 def _z_tail_terms(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
     """T(x, w) = sum_{j >= x+2} p_j w^{j-x-1} for x = 0..x_max-1."""
     dist = model.dist
-    if x_max == 0:
-        return np.zeros(0)
     if dist.kind == "table":
-        p = np.asarray(dist.pmf)
-        out = np.empty(x_max)
-        for x in range(x_max):
-            seg = p[x + 2 :]
-            if seg.size == 0:
-                out[x] = 0.0
-            else:
-                out[x] = w * float(np.polynomial.polynomial.polyval(w, seg))
-        return out
+        # backward Horner: H(x) = p_{x+2} + H(x+1) w and T(x, w) = w H(x)
+        p = dist.pmf
+        h = np.zeros(max(x_max, len(p)))
+        for x in range(len(p) - 3, -1, -1):
+            h[x] = p[x + 2] + h[x + 1] * w
+        return w * h[:x_max]
     q = 1.0 - dist.p0 - dist.p1
     a = dist.alpha
     return q * (1.0 - a) * a ** np.arange(x_max, dtype=float) * w / (1.0 - a * w)
@@ -104,15 +102,8 @@ def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
         raise DomainError(f"transform argument {w} outside (0, 1]")
     if x_max < 0:
         raise DomainError("x_max must be nonnegative")
-    v = model.v
     p = model.dist.pmf_upto(x_max + 1)
-    tails = _z_tail_terms(model, w, x_max)
-    z = np.empty(x_max + 1)
-    z[0] = 1.0
-    for x in range(x_max):
-        s = float(np.dot(p[1 : x + 2], z[x::-1]))
-        z[x + 1] = (z[x] / v - s - tails[x]) / p[0]
-    return z
+    return _recur(p, 1.0, (1.0, model.v), x_max, _z_tail_terms(model, w, x_max))
 
 
 @dataclass
@@ -210,14 +201,15 @@ class ScaleTable:
         if x < 0:
             return 0.0
         self._check_index(x)
+        # dW can round to zero at v = 1 once W saturates; the ratio is
+        # then reported as inf
         if not self.rescaled:
-            # dW can round to zero at v = 1 once W saturates; the ratio
-            # is then reported as inf
             with np.errstate(divide="ignore"):
                 return float(self._w[x] / (self._w[b + 1] - self._w[b]))
         den = self._w[b + 1] - self.phi * self._w[b]
         try:
-            return float(self._w[x] / den * self.phi ** float(b + 1 - x))
+            with np.errstate(divide="ignore"):
+                return float(self._w[x] / den * self.phi ** float(b + 1 - x))
         except OverflowError:
             raise OverflowSignal(
                 f"W({x})/dW({b}) exceeds float range") from None
@@ -314,12 +306,9 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
         if not np.all(np.isfinite(arr)):
             raise NoConvergence("tilted W recursion produced non-finite values")
         return ScaleTable(model=model, x_max=x_max, rescaled=True, _w=arr)
-    arr = _w_array(model, x_max)
-    if not np.all(np.isfinite(arr)):
-        raise OverflowSignal(
-            "W exceeds float range on 0..%d; retry with rescaled=True" % x_max
-        )
-    alt = _w_array_alt(model, x_max)
+    arr = alt = _w_array(model, x_max)
+    if np.all(np.isfinite(arr)):
+        alt = _w_array_alt(model, x_max)
     if not np.all(np.isfinite(alt)):
         raise OverflowSignal(
             "W exceeds float range on 0..%d; retry with rescaled=True" % x_max

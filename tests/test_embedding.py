@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from skipfree import DomainError, validate
+from skipfree import DiscountedModel, DomainError, OverflowSignal, validate, w_table
 from skipfree.embedding import LevyChainParams, laplace_exponent, phi_q, wq, zq
 
 
@@ -78,3 +78,15 @@ def test_wq_asymptotic_growth(params):
     m = 200
     scaled = wq(params, q, m) * math.exp(-root * (m + 1) * params.h)
     assert scaled == pytest.approx(1.0 / slope, rel=1e-6)
+
+
+def test_padding_overflow_falls_back_to_exact_table(four_point):
+    # the padded table (0..2047) overflows, W(1100) ~ 8.6e168 does not
+    p = LevyChainParams(dist=four_point, gamma=2.0, h=0.5)
+    table = w_table(DiscountedModel(four_point, 2.0 / 2.4), 1100)
+    with pytest.raises(OverflowSignal):
+        w_table(DiscountedModel(four_point, 2.0 / 2.4), 2048)
+    assert wq(p, 0.4, 1100) == table.w(1100) / (2.0 * 0.5)
+    assert zq(p, 0.4, 1100) == table.z(1100)
+    with pytest.raises(OverflowSignal):
+        wq(p, 0.4, 4000)

@@ -13,6 +13,7 @@ from skipfree import (
     DomainError,
     NonPositiveP0,
     NotADistribution,
+    SkipfreeError,
     WrongKind,
     from_jsonable,
     modified_geometric,
@@ -134,6 +135,60 @@ def test_json_round_trip(three_point, modgeom):
 def test_from_jsonable_rejects_unknown_type():
     with pytest.raises(WrongKind):
         from_jsonable({"type": "zeta", "s": 2.0})
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "table", "pmf": ["1", "1e400"]},
+    {"type": "table", "pmf": [1.5, -0.5]},
+    {"type": "table"},
+    {"type": "modified_geometric", "p0": 0.5, "alpha": 0.3},
+    {"type": "table", "pmf": [float("nan"), 1.0]},
+    {"type": "table", "pmf": [0.5, float("inf")]},
+    {"type": "modified_geometric", "p0": 0.5, "p1": 0.2, "alpha": float("inf")},
+    {"type": "modified_geometric", "p0": "-1e400", "p1": 0.2, "alpha": 0.3},
+    {"type": "table", "pmf": 5},
+    '{"type": "table", "pmf": [NaN, 1]}',
+    '{"type": "table", "pmf": [',
+])
+def test_from_jsonable_rejects_malformed_models(obj):
+    with pytest.raises((NotADistribution, NonPositiveP0)):
+        from_jsonable(obj)
+
+
+def test_p0_rounding_to_zero_is_rejected():
+    with pytest.raises(NonPositiveP0):
+        validate(["1e-400", "1"])
+    with pytest.raises(NonPositiveP0):
+        modified_geometric(p0="1e-400", p1=0.5, alpha=0.3)
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["1", "1/2", "2/3", "0", "-1/4", "1e400", "-1e400", "1e-400",
+                       "nan", "inf", "1/0", "x"])
+    | st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_MODELS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["table", "modified_geometric"]) | _JSON},
+    optional={"pmf": st.lists(_SCALARS, max_size=6) | _JSON,
+              "p0": _SCALARS, "p1": _SCALARS, "alpha": _SCALARS},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_MODELS | _JSON)
+def test_model_json_raises_only_library_errors(obj):
+    for parse in (from_jsonable, validate):
+        try:
+            parse(obj)
+        except SkipfreeError:
+            pass
 
 
 def test_discounted_model_fields(three_point):

@@ -1,5 +1,7 @@
 """Scale table recursions, conventions, asymptotics, and guard rails."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,16 @@ def test_rescaled_matches_plain_in_range(three_tab_09):
     assert rt.w_over_dw(5, 10) == pytest.approx(
         three_tab_09.w(5) / three_tab_09.dw(10), rel=1e-10
     )
+
+
+def test_w_over_dw_saturated_is_inf_without_warning(three_tab_v1):
+    # at v = 1 W saturates and dW(100) rounds to zero on both tables
+    rt = w_table(three_tab_v1.model, 120, rescaled=True)
+    assert three_tab_v1.dw(100) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rt.w_over_dw(5, 100) == np.inf
+        assert three_tab_v1.w_over_dw(5, 100) == np.inf
 
 
 def test_w_table_input_guards(three_tab_09):
