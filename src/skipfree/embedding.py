@@ -64,22 +64,30 @@ def phi_q(params: LevyChainParams, q: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _chain_table(params: LevyChainParams, q: float, x_max: int) -> ScaleTable:
+def _chain_table(params: LevyChainParams, q: float, x_max: int) -> ScaleTable | None:
+    """The chain's table on 0..x_max, or None where W overflows; the
+    cache keeps a failed build too, so it is not tried again."""
     v = params.gamma / (params.gamma + q)
-    return w_table(DiscountedModel(params.dist, v), x_max)
+    try:
+        return w_table(DiscountedModel(params.dist, v), x_max)
+    except OverflowSignal:
+        return None
 
 
 def _table_for(params: LevyChainParams, q: float, m: int) -> ScaleTable:
+    if q < 0.0:
+        raise DomainError("q must be nonnegative")
     if m < 0:
         raise DomainError("lattice index must be nonnegative")
     size = 64
     while size < m + 1:
         size *= 2
     # the padding can overflow where W(m) itself is still representable
-    try:
-        return _chain_table(params, float(q), size)
-    except OverflowSignal:
-        return _chain_table(params, float(q), m)
+    for x_max in (size, m):
+        table = _chain_table(params, float(q), x_max)
+        if table is not None:
+            return table
+    raise OverflowSignal(f"W exceeds float range on 0..{m}")
 
 
 def wq(params: LevyChainParams, q: float, m: int) -> float:
@@ -87,15 +95,9 @@ def wq(params: LevyChainParams, q: float, m: int) -> float:
 
     W^(q)(m h) = W_v(m) / (gamma * h) with v = gamma / (gamma + q).
     """
-    if q < 0.0:
-        raise DomainError("q must be nonnegative")
-    table = _table_for(params, q, m)
-    return table.w(m) / (params.gamma * params.h)
+    return _table_for(params, q, m).w(m) / (params.gamma * params.h)
 
 
 def zq(params: LevyChainParams, q: float, m: int) -> float:
     """Second q-scale function of the chain: Z_v(m) unchanged."""
-    if q < 0.0:
-        raise DomainError("q must be nonnegative")
-    table = _table_for(params, q, m)
-    return table.z(m)
+    return _table_for(params, q, m).z(m)

@@ -12,13 +12,33 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .errors import DomainError, WrongKind
+from .errors import DomainError, NoConvergence, WrongKind
 from .model import MODIFIED_GEOMETRIC, ClaimDistribution
 
 _XTOL = 1e-15
+_RTOL = 2.0**-50  # 4 machine epsilons, scipy's default
 _MAXITER = 200
+
+
+def _bisect(f, xa: float, xb: float) -> float:
+    """Root of f on a sign-changing bracket [xa, xb], by the steps of
+    scipy.optimize.bisect at xtol = _XTOL, so it returns the same float."""
+    fa = f(xa)
+    if fa == 0.0:
+        return xa
+    if f(xb) == 0.0:
+        return xb
+    dm = xb - xa
+    for _ in range(_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < _XTOL + _RTOL * abs(xm):
+            return xm
+    raise NoConvergence(f"bisection did not converge in {_MAXITER} steps")
 
 
 def phi(dist: ClaimDistribution, v: float) -> float:
@@ -46,7 +66,7 @@ def phi(dist: ClaimDistribution, v: float) -> float:
         lo = hi
         while g(lo) > 0.0:
             lo *= 0.5
-        return float(bisect(g, lo, hi, xtol=_XTOL, maxiter=_MAXITER))
+        return float(_bisect(g, lo, hi))
 
     upper = g(v)
     if upper <= 0.0:
@@ -55,7 +75,7 @@ def phi(dist: ClaimDistribution, v: float) -> float:
     lo = v
     while g(lo) > 0.0:
         lo *= 0.5
-    return float(bisect(g, lo, v, xtol=_XTOL, maxiter=_MAXITER))
+    return float(_bisect(g, lo, v))
 
 
 @dataclass(frozen=True)

@@ -397,23 +397,30 @@ def geometric_law_chisquare(
         raise DomainError(f"geometric parameter {theta} outside (0, 1)")
     if not min_expected > 0.0:  # else the tail loop never ends
         raise DomainError(f"min_expected = {min_expected} must be positive")
-    from scipy import stats as sp_stats  # costs ~0.6 s, so only when used
-
     probs = []
-    r = 0
-    while True:
-        p = theta * (1.0 - theta) ** r
-        if n * p < min_expected:
-            break
+    while n * (p := theta * (1.0 - theta) ** len(probs)) >= min_expected:
         probs.append(p)
-        r += 1
     if not probs:
         raise DomainError("sample too small for a chi-square test")
     head = len(probs)
     observed = np.bincount(np.minimum(counts, head), minlength=head + 1).astype(float)
     expected = np.append(n * np.asarray(probs), n * (1.0 - theta) ** head)
-    statistic, p_value = sp_stats.chisquare(observed, expected)
-    return float(statistic), float(p_value)
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    return statistic, _chi2_sf(statistic, head)
+
+
+def _chi2_sf(x2: float, df: int) -> float:
+    """P(chi-square with integer df > x2) = Q(df/2, x) at x = x2/2, by
+    Q(a + 1) = Q(a) + x^a e^-x / Gamma(a + 1) from Q(1/2) = erfc(sqrt x)
+    for odd df or from Q(1) = e^-x for even df."""
+    if x2 <= 0.0:
+        return 1.0
+    x = x2 / 2.0
+    a, q = (0.5, math.erfc(math.sqrt(x))) if df % 2 else (1.0, math.exp(-x))
+    while a < df / 2:
+        q += math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
 
 
 @dataclass(frozen=True)
@@ -423,16 +430,6 @@ class RegistryEntry:
     name: str
     analytic: "callable"
     estimate: "callable"  # (seed, n_paths, stream) -> MCEstimate
-
-
-def _registry_models():
-    from .model import validate
-
-    three_point = validate(["2/3", "2/9", "0", "1/9"])
-    two_point = validate(["12/13", "0", "0", "1/13"])
-    four_point = validate(["3/4", "1/20", "1/10", "0", "0", "0", "0", "1/10"])
-    heavy = validate(["1/2", "0", "0", "1/2"])
-    return three_point, two_point, four_point, heavy
 
 
 def _sim(dist, x0, policy, kind, cap=None, **spec):
@@ -448,15 +445,16 @@ def default_registry() -> list[RegistryEntry]:
     suite: one entry per passage or dividend functional, each with an
     analytic value and a matched simulation."""
     from . import dividends as dv
-    from . import lundberg, passage
-    from .model import DiscountedModel
+    from . import golden, lundberg, passage
+    from .model import DiscountedModel, validate
     from .scale import w_table
 
-    three, two, four, heavy = _registry_models()
+    three, two = golden.three_point_model(), golden.two_point_model()
+    four, heavy = golden.four_point_model(), validate(["1/2", "0", "0", "1/2"])
     free, lower = PolicySpec("free"), PolicySpec("reflect_lower_0")
     up2, up3, up5 = (PolicySpec("reflect_upper", b) for b in (2, 3, 5))
     doubly = PolicySpec("doubly_reflected", 4)
-    v2, v9 = 150.0 / 169.0, 65.0 / 72.0
+    v2, v9 = golden.THREE_POINT_V, golden.TWO_POINT_V
 
     def tab(dist, v, x_max=20):
         return w_table(DiscountedModel(dist, v), x_max)
@@ -559,11 +557,11 @@ def run_dividends_chisquare(seed: int = 42, n_paths: int = 10**5) -> dict:
     """Chi-square check that killed cumulative dividends at the barrier
     follow their geometric law."""
     from . import dividends as dv
+    from .golden import TWO_POINT_V, two_point_model
     from .model import DiscountedModel
     from .scale import w_table
 
-    _, two_point, _, _ = _registry_models()
-    v = 65.0 / 72.0
+    two_point, v = two_point_model(), TWO_POINT_V
     table = w_table(DiscountedModel(two_point, v), 10)
     theta = dv.dividends_law_at_barrier(table, 2)
     counts = dividend_count_samples(two_point, 2, v, 2, n_paths, seed, stream=1000)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +28,20 @@ MODIFIED_GEOMETRIC = "modified_geometric"
 _SUM_TOL = 1e-12
 # the fields each model type reads from its JSON object
 _FIELDS = {TABLE: ("pmf",), MODIFIED_GEOMETRIC: ("p0", "p1", "alpha")}
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
+
+
+def _cap_exponent(text: str) -> str:
+    """Cap a decimal exponent, which Fraction expands into an exact power
+    of ten of any size. A nonzero mantissa of n characters lies within
+    10^(+-n), so past n + 400 the value is beyond 1e(+-400) before and
+    after the cap: its sign, whether it is 0, its side of 1 and its float
+    value, all that the probability checks read, stay the same."""
+    match = _EXPONENT.search(text)
+    cap = len(text) + 400
+    if match is None or abs(int(match[1])) <= cap:
+        return text
+    return text[: match.start(1)] + str(cap if int(match[1]) > 0 else -cap)
 
 
 def _to_fraction(value: Rational) -> Fraction:
@@ -34,7 +49,7 @@ def _to_fraction(value: Rational) -> Fraction:
         return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return Fraction(_cap_exponent(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise NotADistribution(f"cannot parse probability {value!r}") from exc
     if isinstance(value, (int, np.integer)):
@@ -140,7 +155,7 @@ class ClaimDistribution:
         """Derivative of the generating function on (0, 1]."""
         self._check_z(z)
         if self.kind == TABLE:
-            coeffs = [k * p for k, p in enumerate(self.pmf)][1:]
+            coeffs = [k * p for k, p in enumerate(self.pmf)][1:] or [0.0]
             return float(np.polynomial.polynomial.polyval(z, coeffs))
         q = 1.0 - self.p0 - self.p1
         den = 1.0 - self.alpha * z

@@ -186,12 +186,16 @@ class ScaleTable:
         except OverflowError:
             raise OverflowSignal(f"W({x})/W({y}) exceeds float range") from None
 
-    def dw(self, b: int) -> float:
-        """First difference W(b+1) - W(b)."""
+    def _diff(self, at, b: int, *args) -> float:
+        """First difference at(b + 1, *args) - at(b, *args) of an accessor."""
         if b < 0:
             raise DomainError("difference index must be nonnegative")
         self._check_index(b + 1)
-        return self.w(b + 1) - self.w(b)
+        return at(b + 1, *args) - at(b, *args)
+
+    def dw(self, b: int) -> float:
+        """First difference W(b+1) - W(b)."""
+        return self._diff(self.w, b)
 
     def w_over_dw(self, x: int, b: int) -> float:
         """W(x) / (W(b+1) - W(b)), stable on rescaled tables."""
@@ -236,10 +240,7 @@ class ScaleTable:
         return float(self._z_values()[x])
 
     def dz(self, b: int) -> float:
-        if b < 0:
-            raise DomainError("difference index must be nonnegative")
-        self._check_index(b + 1)
-        return self.z(b + 1) - self.z(b)
+        return self._diff(self.z, b)
 
     def _z1_values(self) -> np.ndarray:
         self._no_rescale("Z1")
@@ -260,10 +261,7 @@ class ScaleTable:
         return float(self._z1_values()[x])
 
     def dz1(self, b: int) -> float:
-        if b < 0:
-            raise DomainError("difference index must be nonnegative")
-        self._check_index(b + 1)
-        return self.z1(b + 1) - self.z1(b)
+        return self._diff(self.z1, b)
 
     def zw_array(self, w: float) -> np.ndarray:
         """Z(0..x_max, w), computed once per transform argument."""
@@ -285,10 +283,7 @@ class ScaleTable:
         return float(self.zw_array(w)[x])
 
     def dzw(self, b: int, w: float) -> float:
-        if b < 0:
-            raise DomainError("difference index must be nonnegative")
-        self._check_index(b + 1)
-        return self.z_at(b + 1, w) - self.z_at(b, w)
+        return self._diff(self.z_at, b, w)
 
 
 def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> ScaleTable:

@@ -4,6 +4,9 @@ Tables come from skipfree.golden.cached_table so the test session
 reuses the arrays the example battery already built.
 """
 
+import contextlib
+import signal
+
 import pytest
 
 from skipfree import modified_geometric, validate
@@ -72,3 +75,22 @@ def modgeom_tab(modgeom):
 def heavy():
     """Supercritical two-atom model: mean claim 3/2 > 1."""
     return validate(["1/2", "0", "0", "1/2"])
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) fails its block instead of letting it hang."""
+    @contextlib.contextmanager
+    def within(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"no answer within {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

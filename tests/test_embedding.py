@@ -5,6 +5,7 @@ import math
 import pytest
 
 from skipfree import DiscountedModel, DomainError, OverflowSignal, validate, w_table
+from skipfree import embedding
 from skipfree.embedding import LevyChainParams, laplace_exponent, phi_q, wq, zq
 
 
@@ -90,3 +91,20 @@ def test_padding_overflow_falls_back_to_exact_table(four_point):
     assert zq(p, 0.4, 1100) == table.z(1100)
     with pytest.raises(OverflowSignal):
         wq(p, 0.4, 4000)
+
+
+def test_overflowing_padding_is_built_once(four_point, monkeypatch):
+    builds = []
+
+    def counting_w_table(model, x_max):
+        builds.append(x_max)
+        return w_table(model, x_max)
+
+    monkeypatch.setattr(embedding, "w_table", counting_w_table)
+    embedding._chain_table.cache_clear()
+    p = LevyChainParams(dist=four_point, gamma=2.0, h=0.5)
+    first = wq(p, 0.4, 1100)
+    assert builds == [2048, 1100]
+    assert wq(p, 0.4, 1100) == first
+    zq(p, 0.4, 1100)
+    assert builds == [2048, 1100]

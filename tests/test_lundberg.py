@@ -9,8 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipfree import WrongKind, lagrange_series, phi, root_pair, upcrossing_pmf, validate
+from skipfree import (
+    NoConvergence,
+    WrongKind,
+    lagrange_series,
+    phi,
+    root_pair,
+    upcrossing_pmf,
+    validate,
+)
 from skipfree.golden import THREE_POINT_V
+from skipfree.lundberg import _MAXITER, _XTOL, _bisect
 
 
 def test_phi_known_values(three_point, heavy):
@@ -122,3 +131,37 @@ def test_phi_bracket_property(v):
     root = phi(d, v)
     assert 0.0 < root <= 1.0
     assert abs(root - v * d.pgf(root)) < 1e-12
+
+
+def test_bisect_matches_scipy_bit_for_bit():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(20170820)
+    cases = []
+    for _ in range(300):
+        roots = np.sort(rng.uniform(-3.0, 3.0, 3))
+        lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
+        f = lambda x, r=roots: float((x - r[0]) * (x - r[1]) * (x - r[2]))
+        if f(lo) * f(hi) <= 0.0:
+            cases.append((f, float(lo), float(hi)))
+    for _ in range(300):  # the Lundberg function g on its brackets in phi
+        w = rng.integers(0, 50, int(rng.integers(2, 9)))
+        w[0] += 1
+        d = validate([Fraction(int(k), int(w.sum())) for k in w])
+        v = float(rng.uniform(0.01, 1.0))
+        g = lambda x, d=d, v=v: x - v * d.pgf(x)
+        lo = v
+        while g(lo) > 0.0:
+            lo *= 0.5
+        if g(v) > 0.0:
+            cases.append((g, lo, v))
+    cases.append((lambda x: x - 0.25, 0.25, 1.0))  # a root at an endpoint
+    assert len(cases) > 400
+    for f, lo, hi in cases:
+        want = optimize.bisect(f, lo, hi, xtol=_XTOL, maxiter=_MAXITER)
+        assert _bisect(f, lo, hi) == want
+
+
+def test_bisect_that_cannot_converge_raises_library_error():
+    # 200 halvings of [0, 1e300] leave a step far above the tolerance at 1e250
+    with pytest.raises(NoConvergence):
+        _bisect(lambda x: x - 1e250, 0.0, 1e300)

@@ -4,9 +4,7 @@ Full-size verification lives in the acceptance module; everything here
 runs with small path counts to keep the suite quick.
 """
 
-import contextlib
 import os
-import signal
 import subprocess
 import sys
 
@@ -186,32 +184,17 @@ def test_injection_target_zero_is_reached_at_time_zero(four_point):
     assert est.std_error == 0.0 and est.capped_fraction == 0.0
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail instead of hanging if the block does not finish in time."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("theta", [float("nan"), 0.0, 1.0, 1.5, -0.2, float("inf")])
-def test_chisquare_rejects_theta_outside_unit_interval(theta):
+def test_chisquare_rejects_theta_outside_unit_interval(theta, deadline):
     counts = np.arange(100) % 4
-    with _deadline(1.0), pytest.raises(DomainError):
+    with deadline(1.0), pytest.raises(DomainError):
         geometric_law_chisquare(counts, theta)
 
 
 @pytest.mark.parametrize("min_expected", [0.0, -1.0, float("nan")])
-def test_chisquare_rejects_nonpositive_min_expected(min_expected):
+def test_chisquare_rejects_nonpositive_min_expected(min_expected, deadline):
     counts = np.arange(100) % 4
-    with _deadline(1.0), pytest.raises(DomainError):
+    with deadline(1.0), pytest.raises(DomainError):
         geometric_law_chisquare(counts, 0.5, min_expected)
 
 
@@ -226,10 +209,55 @@ def test_chisquare_rejects_counts_that_are_not_nonnegative_integers(counts):
         geometric_law_chisquare(counts, 0.5)
 
 
-def test_import_does_not_load_scipy_stats():
+def _python(code):
     src = os.path.dirname(os.path.dirname(skipfree.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, skipfree; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, skipfree, skipfree.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples"], ["mc-verify", "--npaths", "3000", "--chi-npaths", "3000"],
+])
+def test_cli_runs_with_scipy_blocked(argv):
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now fails\n"
+            "from skipfree.cli import main\n"
+            f"sys.exit(main({argv!r}))")
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+
+
+def _chisquare_inputs(counts, theta):
+    """The observed and expected cells geometric_law_chisquare builds."""
+    n, probs = counts.size, []
+    while n * (p := theta * (1.0 - theta) ** len(probs)) >= 5.0:
+        probs.append(p)
+    head = len(probs)
+    observed = np.bincount(np.minimum(counts, head), minlength=head + 1).astype(float)
+    return observed, np.append(n * np.asarray(probs), n * (1.0 - theta) ** head)
+
+
+def test_chisquare_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(1708)
+    parities = set()
+    for _ in range(200):
+        theta = float(rng.uniform(0.05, 0.7))
+        skew = float(rng.choice([1.0, 0.9, 1.1]))  # some samples miss the law
+        counts = rng.geometric(theta * skew, int(rng.integers(100, 20000))) - 1
+        observed, expected = _chisquare_inputs(counts, theta)
+        statistic, p_value = geometric_law_chisquare(counts, theta)
+        want_stat, want_p = stats.chisquare(observed, expected)
+        assert statistic == want_stat
+        assert p_value == pytest.approx(want_p, rel=1e-12, abs=0)
+        parities.add(observed.size % 2)
+    assert parities == {0, 1}  # odd and even degrees of freedom

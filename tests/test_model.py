@@ -162,6 +162,40 @@ def test_p0_rounding_to_zero_is_rejected():
         modified_geometric(p0="1e-400", p1=0.5, alpha=0.3)
 
 
+@pytest.mark.parametrize("obj, error", [
+    ({"type": "table", "pmf": ["1e999999999"]}, NotADistribution),
+    ({"type": "table", "pmf": ["1", "-1E+999_999_999"]}, NotADistribution),
+    ({"type": "table", "pmf": ["1e-999999999", "1"]}, NonPositiveP0),
+    ({"type": "modified_geometric", "p0": " 5e-999999999 ", "p1": 0.5, "alpha": 0.3},
+     NonPositiveP0),
+])
+def test_far_exponents_are_decided_at_once(obj, error, deadline):
+    with deadline(1.0), pytest.raises(error):
+        from_jsonable(obj)
+
+
+@pytest.mark.parametrize("pmf", [
+    ["1/2", "1/2", "1e-2000"],
+    ["1/2", "0.5e-0", "0.25e-500", "0"],
+    ["0.7", "0.3", "0e5000"],
+    ["1", "3.5e-1000"],
+    ["1e-5000", "1"],
+    ["1", "2.5e+5000"],
+    ["0.25e1", "1"],
+    ["1e-330", "1"],
+    ["0.999999999999999", "1e-15", "1e-460"],
+])
+def test_exponent_cap_keeps_exact_outcome(pmf):
+    """Capping a far exponent gives the pmf floats, or the error, that the
+    exact rationals give."""
+    def outcome(values):
+        try:
+            return validate(values).pmf
+        except SkipfreeError as exc:
+            return type(exc)
+    assert outcome(pmf) == outcome([Fraction(x) for x in pmf])
+
+
 _SCALARS = (
     st.none() | st.booleans() | st.integers(-(10**400), 10**400)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -189,6 +223,11 @@ def test_model_json_raises_only_library_errors(obj):
             parse(obj)
         except SkipfreeError:
             pass
+
+
+def test_one_atom_law_has_zero_pgf_slope():
+    d = validate(["1"])
+    assert d.pgf_prime(0.5) == d.pgf_prime(1.0) == 0.0
 
 
 def test_discounted_model_fields(three_point):

@@ -19,6 +19,7 @@ from skipfree import (
     z_gf_residual,
 )
 from skipfree.golden import FOUR_POINT_V, cached_table
+from skipfree.scale import z_table_w
 
 
 def test_w_starts_at_inverse_p0(three_tab, two_tab, gsy_tab, modgeom_tab):
@@ -81,6 +82,16 @@ def test_asymptotic_constant_undiscounted(three_tab_v1):
 def test_asymptotic_constant_critical_is_infinite():
     crit = DiscountedModel(validate(["1/2", "0", "1/2"]), 1.0)
     assert asymptotic_constant(crit) == np.inf
+
+
+def test_one_atom_law_asymptotics():
+    # all mass at 0: W(x) = Z(x, w) = v^-x, and pgf' = 0 gives A = v
+    model = DiscountedModel(validate(["1"]), 0.9)
+    assert asymptotic_constant(model) == 0.9
+    zw = z_table_w(model, 0.5, 30)
+    for x in (0, 7, 30):
+        assert dickson_hipp_z(model, 0.5, x) == pytest.approx(zw[x], rel=1e-12)
+        assert zw[x] == pytest.approx(0.9 ** -x, rel=1e-12)
 
 
 def test_z_conventions(three_tab):
