@@ -258,34 +258,31 @@ def _run(sampler, x0, fn, kind, n_paths, rng, cap, b):
     disc = 1.0
     t = 0
     while True:
+        # adding 0 where nothing happens leaves every tally bit-identical
         if at_0:
-            neg = x < 0
+            under = np.maximum(-x, 0)
             if "inj" in tally:
-                tally["inj"][neg] += -x[neg]
+                tally["inj"] += under
             if "bail" in tally:
-                tally["bail"][neg] += disc * -x[neg].astype(float)
-            x[neg] = 0
-        if upper is not None or lower is not None:
-            stopped = np.zeros(idx.size, dtype=bool)
-            if upper is not None:
-                up = x >= upper
-                score(kind.above, up)
-                stopped |= up
-            if lower is not None:
-                low = x <= lower
-                score(kind.below, low)
-                stopped |= low
+                tally["bail"] += disc * under
+            np.maximum(x, 0, out=x)
+        hits = [(kind.above, x >= upper)] if upper is not None else []
+        if lower is not None:
+            hits.append((kind.below, x <= lower))
+        if hits and (stopped := np.logical_or.reduce([hit for _, hit in hits])).any():
+            for fun, hit in hits:
+                score(fun, hit)
             keep = ~stopped
             idx = idx[keep]
             x = x[keep]
             tally = {k: a[keep] for k, a in tally.items()}
         if at_b:
-            paid = x > b
-            excess = x[paid] - b if t == 0 else 1  # a step overshoots b by 1
+            # a step overshoots b by at most 1
+            excess = np.maximum(x - b, 0) if t == 0 else (x > b)
             if "div" in tally:
-                tally["div"][paid] += disc * excess
+                tally["div"] += disc * excess
             if "paid" in tally:
-                tally["paid"][paid] += excess
+                tally["paid"] += excess
             np.minimum(x, b, out=x)
         if not idx.size or t >= cap:
             break

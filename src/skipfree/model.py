@@ -44,6 +44,14 @@ def _cap_exponent(text: str) -> str:
     return text[: match.start(1)] + str(cap if int(match[1]) > 0 else -cap)
 
 
+def _horner(coeffs, z: float) -> float:
+    """sum_k coeffs[k] z^k on floats, bit for bit numpy's polyval."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = c + acc * z
+    return acc
+
+
 def _to_fraction(value: Rational) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -147,7 +155,7 @@ class ClaimDistribution:
         """Probability generating function E[z^C] for z in (0, 1]."""
         self._check_z(z)
         if self.kind == TABLE:
-            return float(np.polynomial.polynomial.polyval(z, self.pmf))
+            return _horner(self.pmf, z)
         q = 1.0 - self.p0 - self.p1
         return self.p0 + self.p1 * z + q * (1.0 - self.alpha) * z * z / (1.0 - self.alpha * z)
 
@@ -155,8 +163,7 @@ class ClaimDistribution:
         """Derivative of the generating function on (0, 1]."""
         self._check_z(z)
         if self.kind == TABLE:
-            coeffs = [k * p for k, p in enumerate(self.pmf)][1:] or [0.0]
-            return float(np.polynomial.polynomial.polyval(z, coeffs))
+            return _horner([k * p for k, p in enumerate(self.pmf)][1:], z)
         q = 1.0 - self.p0 - self.p1
         den = 1.0 - self.alpha * z
         return self.p1 + q * (1.0 - self.alpha) * z * (2.0 - self.alpha * z) / (den * den)

@@ -28,53 +28,104 @@ _SELF_CHECK_RTOL = 1e-10
 _DH_TARGET = 1e-12
 
 
-def _recur(coef, y0: float, growth: tuple[float, float], x_max: int, forcing) -> np.ndarray:
+def _coefficients(dist, tilt: float = 1.0) -> tuple:
+    """(c_0, (c_1..c_L), tail, ratio) for c_k = p_k * tilt^k. A table law
+    has no tail; the modified geometric law keeps c_1 in the band and
+    sums k >= 2 as G(x) = ratio * G(x-1) + tail * y(x-1)."""
+    if dist.kind == "table":
+        c = np.asarray(dist.pmf) * tilt ** np.arange(len(dist.pmf), dtype=float)
+        return float(c[0]), c[1:], 0.0, 0.0
+    q = 1.0 - dist.p0 - dist.p1
+    return (dist.p0, [dist.p1 * tilt], q * (1.0 - dist.alpha) * tilt * tilt,
+            dist.alpha * tilt)
+
+
+def _banded(y0: float, band, x_max: int) -> tuple:
+    """(buf, dot, windows): y(x) sits at buf[x_max - x], zeros past
+    buf[x_max] stand for y < 0, and dot(windows[x]) sums band_k y(x+1-k)
+    in ascending k. The band is padded to whole 32-entry blocks: OpenBLAS
+    fuses each product into the running sum of a shorter dot, which gave
+    W on the four-point law at v = 0.999, n = 8000 a relative error of
+    1.5e-13 against 4.7e-14."""
+    band = np.concatenate([band, np.zeros(-len(band) % 32)])
+    buf = np.zeros(x_max + 1 + len(band))
+    buf[x_max] = y0
+    windows = np.lib.stride_tricks.sliding_window_view(buf, len(band))[x_max:0:-1]
+    return buf, band.dot, windows
+
+
+def _recur(coef: tuple, y0: float, growth: tuple[float, float], x_max: int,
+           forcing: list[float]) -> np.ndarray:
     """Forward step shared by the W, tilted-W and Z recursions.
 
-    y(x+1) = (y(x) * num / den - sum_{k>=1} coef_k y(x+1-k) - forcing(x))
-    / coef_0 from y(0) = y0, where growth = (num, den).
+    y(x+1) = (y(x) * num / den - sum_{k>=1} c_k y(x+1-k) - forcing(x))
+    / c_0 from y(0) = y0, where growth = (num, den) and coef comes from
+    _coefficients. A step costs O(L), or O(1) for the modified geometric
+    law. From the first non-finite value on, every entry reads inf.
     """
+    c0, band, tail, ratio = coef
     num, den = growth
-    y = np.empty(x_max + 1)
-    y[0] = y0
+    buf, dot, windows = _banded(y0, band, x_max)
+    y, g = y0, 0.0
     # overflow is detected by the callers; keep the loop warning-free
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in range(x_max):
-            s = float(np.dot(coef[1 : x + 2], y[x::-1]))
-            y[x + 1] = (y[x] * num / den - s - forcing[x]) / coef[0]
-    return y
+        for x, window in enumerate(windows):
+            s = float(dot(window)) + g
+            g = ratio * g + tail * y
+            y = (y * num / den - s - forcing[x]) / c0
+            if not math.isfinite(y):
+                buf[: x_max - x] = math.inf
+                break
+            buf[x_max - x - 1] = y
+    return buf[x_max::-1].copy()
 
 
 def _w_array(model: DiscountedModel, x_max: int) -> np.ndarray:
     """Forward harmonic recursion for W(0..x_max)."""
-    p = model.dist.pmf_upto(x_max + 1)
-    return _recur(p, 1.0 / p[0], (1.0, model.v), x_max, np.zeros(x_max))
+    dist = model.dist
+    return _recur(_coefficients(dist), 1.0 / dist.p0, (1.0, model.v), x_max,
+                  [0.0] * x_max)
 
 
 def _w_array_alt(model: DiscountedModel, x_max: int) -> np.ndarray:
     """Independent recursion for W driven by the claim cdf.
 
     W(n+1) = W(0) + sum_{k=1}^{n+1} c_k W(n+1-k) with
-    c_k = (1/v - P[C <= k]) / p_0. Used as a built-in self check.
+    c_k = (1/v - P[C <= k]) / p_0. Used as a built-in self check. c_k is
+    constant from the largest claim L on, and (1/v - 1 + q alpha^(k-1))
+    / p_0 for the modified geometric law; so a step dots c_1..c_h (h =
+    L - 1, or 0) and carries the rest in a prefix and a geometric sum.
     """
-    v = model.v
-    p = model.dist.pmf_upto(x_max + 2)
-    cdf = np.cumsum(p)
-    c = (1.0 / v - cdf) / p[0]
-    w = np.empty(x_max + 1)
-    w[0] = 1.0 / p[0]
+    v, dist = model.v, model.dist
+    p0 = dist.p0
+    if dist.kind == "table":
+        c = (1.0 / v - np.cumsum(dist.pmf)) / p0
+        head, const, geo, ratio = c[1:-1], float(c[-1]), 0.0, 0.0
+    else:
+        q = 1.0 - p0 - dist.p1
+        head, const, geo, ratio = [], (1.0 / v - 1.0) / p0, q / p0, dist.alpha
+    h = len(head)
+    w0 = 1.0 / p0
+    buf, dot, windows = _banded(w0, head, x_max)
+    total = g = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n1 in range(1, x_max + 1):
-            w[n1] = w[0] + float(np.dot(c[1 : n1 + 1], w[n1 - 1 :: -1]))
-    return w
+        for n, window in enumerate(windows):
+            back = buf.item(x_max - n + h)  # W(n - h)
+            total += const * back
+            g = ratio * g + geo * back
+            w = w0 + float(dot(window)) + total + g
+            if not math.isfinite(w):
+                buf[: x_max - n] = math.inf
+                break
+            buf[x_max - n - 1] = w
+    return buf[x_max::-1].copy()
 
 
 def _w_array_tilted(model: DiscountedModel, x_max: int) -> np.ndarray:
     """Recursion for W(x) * phi^x, which stays bounded by A / phi."""
-    f = model.phi_v
-    p = model.dist.pmf_upto(x_max + 1)
-    t = p * f ** np.arange(x_max + 2, dtype=float)
-    return _recur(t, 1.0 / p[0], (f / model.v, 1.0), x_max, np.zeros(x_max))
+    f, dist = model.phi_v, model.dist
+    return _recur(_coefficients(dist, f), 1.0 / dist.p0, (f / model.v, 1.0), x_max,
+                  [0.0] * x_max)
 
 
 def _z_tail_terms(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
@@ -102,8 +153,8 @@ def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
         raise DomainError(f"transform argument {w} outside (0, 1]")
     if x_max < 0:
         raise DomainError("x_max must be nonnegative")
-    p = model.dist.pmf_upto(x_max + 1)
-    return _recur(p, 1.0, (1.0, model.v), x_max, _z_tail_terms(model, w, x_max))
+    return _recur(_coefficients(model.dist), 1.0, (1.0, model.v), x_max,
+                  _z_tail_terms(model, w, x_max).tolist())
 
 
 @dataclass
@@ -164,12 +215,12 @@ class ScaleTable:
         if not self.rescaled:
             return float(self._w[x])
         try:
-            val = self._w[x] * self.phi ** float(-x)
+            val = float(self._w[x]) * self.phi ** float(-x)
         except OverflowError:
             raise OverflowSignal(f"W({x}) exceeds float range") from None
         if not math.isfinite(val):
             raise OverflowSignal(f"W({x}) exceeds float range")
-        return float(val)
+        return val
 
     def w_ratio(self, x: int, y: int) -> float:
         """W(x) / W(y), computed stably on rescaled tables."""
@@ -229,8 +280,9 @@ class ScaleTable:
     def _z_values(self) -> np.ndarray:
         self._no_rescale("Z")
         if self._z is None:
-            cum = np.concatenate([[0.0], np.cumsum(self._w)])
-            self._z = 1.0 + (1.0 / self.v - 1.0) * cum[: self.x_max + 1]
+            # Z(x) reads sum_{y<x} W(y), so W(x_max) is never summed
+            cum = np.concatenate([[0.0], np.cumsum(self._w[:-1])])
+            self._z = 1.0 + (1.0 / self.v - 1.0) * cum
         return self._z
 
     def z(self, x: int) -> float:
@@ -248,10 +300,9 @@ class ScaleTable:
             m = self.model.dist.mean
             if math.isinf(m):
                 raise InfiniteMean("Z1 requires a finite claim mean")
-            zc = np.concatenate([[0.0], np.cumsum(self._z_values())])
-            wc = np.concatenate([[0.0], np.cumsum(self._w)])
-            n = self.x_max + 1
-            self._z1 = zc[:n] - (1.0 - m) * wc[:n]
+            zc = np.concatenate([[0.0], np.cumsum(self._z_values()[:-1])])
+            wc = np.concatenate([[0.0], np.cumsum(self._w[:-1])])
+            self._z1 = zc - (1.0 - m) * wc
         return self._z1
 
     def z1(self, x: int) -> float:

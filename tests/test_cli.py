@@ -1,8 +1,13 @@
 """Command line interface, exercised in process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import skipfree
 
 from skipfree.cli import main
 from skipfree.golden import GOLDEN_CHECKS
@@ -154,3 +159,14 @@ def test_mc_verify_small_run(capsys):
     assert payload["low_power"] is True
     assert len(payload["rows"]) == 20
     assert payload["chisquare"]["p_value"] > 1e-3
+
+
+def test_overflowing_embed_under_warnings_as_errors(model_file):
+    # Z's running sums used to overflow past the kept entries and warn
+    src = os.path.dirname(os.path.dirname(skipfree.__file__))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "skipfree.cli", "embed", "--model", model_file,
+         "--gamma", "2", "--step", "0.5", "--q", "0", "1", "--xmax", "2000"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stderr == "error: W exceeds float range on 0..1135\n"

@@ -62,6 +62,19 @@ def test_pgf_basics(three_point):
             three_point.pgf(bad)
 
 
+def test_pgf_matches_polyval_bit_for_bit():
+    # pgf and pgf_prime take numpy polyval's operation order on floats
+    rng = np.random.default_rng(1708)
+    for size in list(range(1, 131)) * 2:
+        weights = rng.random(size)
+        weights[0] += 0.1
+        d = validate((weights / weights.sum()).tolist())
+        slopes = [k * p for k, p in enumerate(d.pmf)][1:] or [0.0]
+        for z in (float(rng.uniform(1e-3, 1.0)), 1.0):
+            assert d.pgf(z) == float(np.polynomial.polynomial.polyval(z, d.pmf))
+            assert d.pgf_prime(z) == float(np.polynomial.polynomial.polyval(z, slopes))
+
+
 def test_pgf_prime_is_the_derivative(three_point, modgeom):
     # pins the convention at interior points, where sum k p_k z^k and
     # sum k p_k z^(k-1) differ

@@ -191,6 +191,16 @@ def test_overflow_paths():
         rt.cum_w(5)
 
 
+def test_rescaled_w_past_float_range_raises_without_warning(four_point):
+    # phi^-x is finite at x = 1752 but W(1752) = tilted * phi^-x is not
+    rt = w_table(DiscountedModel(four_point, 0.8), 3000, rescaled=True)
+    assert np.isfinite(rt.phi ** -1752.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowSignal):
+            rt.w(1752)
+
+
 def test_rescaled_matches_plain_in_range(three_tab_09):
     rt = w_table(three_tab_09.model, 120, rescaled=True)
     for x in range(0, 121, 10):

@@ -50,19 +50,19 @@ QUANTITIES = {
 }
 
 PINS = {
-    "W": "8c075697bf7478f0a74a897192ac2b461267dd34b68827b2a55546dde6fd13b8",
-    "Z": "46d2b532613b0640a946caf269acf6cbc0acc8f3e52d18f37d7e648204358e7c",
-    "Z(.,0.3)": "43ff763bdef622051a1a5d3de3ed04dd57e8820567caf1af6c83bd4c22f188d1",
-    "Z(.,0.7)": "49eade357af6a0775d3972ba78fc34b72237fd9d0b12c424e3eb000e0088ad8a",
-    "Z1": "6f713d77150695bbb52dfda401f28325dfd2872094e7fec63016217d5715aebe",
-    "dW": "89861b3a7f5049f88c4a6370ef92716bfa2bd32af0e4de980c49aebcedb9eb02",
-    "definetti": "fa1aa64d88bade2a8ded4c22b67ee3d6c893d5edb198abe85d0a2963d64db76b",
-    "definetti rescaled": "04aa30b9e1e6dffb2385193a40ea37ac899a19c3a4da54e38c978abf4ecf454d",
-    "doubly_reflected": "5edf8e61f8658459dde7f0af094278859e466066cbdd6e738b8e8c820559706c",
-    "modified_definetti": "2eb273d918e910929ac60042b35bd6c885acf73ec45f0571bacfa61e7f5e1bde",
-    "rescaled": "b0454f92bd17411365b277b1c5091ccaf14b05e3d95c0581ba701fe6dc10c770",
-    "rescaled accessors": "70613414847db1565b28c959ca59128755b54e553780f24c36a5e30021f68fb7",
-    "tilted": "3db2a5a6b6c84b9057c185020ea476afcb92a44e33da69b9c364350ce2ef69c3",
+    "W": "fc7ca8fa7f45dd24fb5b4d30ef345520c616f6c5b2da1e9bf18605344357e518",
+    "Z": "9fb383c06675dbcbb8eb7f0f5023c293e0f0cf1a22f53623b6e86ca4fc4db712",
+    "Z(.,0.3)": "e564b2740e517bf953a46308e73bf6863eb785f25d45f0d3f8c5302c93fe1625",
+    "Z(.,0.7)": "f1e783ce4c617dc2df246c4764c9122deec8adc94caa04e2510041ea1f62514e",
+    "Z1": "08c4e6345bab13e8ff1dd075361a4a8ded595b114b5c58c58a178ecb9c3fe7e3",
+    "dW": "6dc21561b0f17b125ff509e4e377ca0ba60e4afe1d4c03f879616d9ab6d30df7",
+    "definetti": "af40b7e19140505ec6d8d40e4cbe7d45084b6e12a935adde645ee0ba487f361c",
+    "definetti rescaled": "72f7de72d3b5d0caeb38d60d21fed7d6360316581596f556d4d1db425a544feb",
+    "doubly_reflected": "c015afbc4b7f4e9700df343aab2e22c7c3dc3f1dec17f1a6da091e858c4dfb84",
+    "modified_definetti": "dd74ec7ab13143dba622418027be487cde6be0c0cddf35044cca1da537bd3a35",
+    "rescaled": "ac60a6aa1f187f26dbf4192bc3e491a1b3b643db6a4b79ed5a143a3b06dff5a7",
+    "rescaled accessors": "b5b6cf775614d304b5556651706496f721fa207cc0f2c7e2a685789aeb742cfc",
+    "tilted": "936407776f6de0d4d0f60f09c44a74e68b8ee9f6d353dcb059e42d70e4e6b97a",
 }
 
 
