@@ -28,10 +28,13 @@ _SELF_CHECK_RTOL = 1e-10
 _DH_TARGET = 1e-12
 
 
+_LD = np.longdouble  # 80-bit on x86-64 Linux
+_BLOCK = 32  # levels the recursions solve at a time, in _LD
+
+
 def _coefficients(dist, tilt: float = 1.0) -> tuple:
-    """(c_0, (c_1..c_L), tail, ratio) for c_k = p_k * tilt^k. A table law
-    has no tail; the modified geometric law keeps c_1 in the band and
-    sums k >= 2 as G(x) = ratio * G(x-1) + tail * y(x-1)."""
+    """(c_0, (c_1..c_L), tail, ratio) for c_k = p_k * tilt^k; the modified
+    geometric law adds c_k = tail * ratio^(k-2) for k >= 2."""
     if dist.kind == "table":
         c = np.asarray(dist.pmf) * tilt ** np.arange(len(dist.pmf), dtype=float)
         return float(c[0]), c[1:], 0.0, 0.0
@@ -40,92 +43,89 @@ def _coefficients(dist, tilt: float = 1.0) -> tuple:
             dist.alpha * tilt)
 
 
-def _banded(y0: float, band, x_max: int) -> tuple:
-    """(buf, dot, windows): y(x) sits at buf[x_max - x], zeros past
-    buf[x_max] stand for y < 0, and dot(windows[x]) sums band_k y(x+1-k)
-    in ascending k. The band is padded to whole 32-entry blocks: OpenBLAS
-    fuses each product into the running sum of a shorter dot, which gave
-    W on the four-point law at v = 0.999, n = 8000 a relative error of
-    1.5e-13 against 4.7e-14."""
-    band = np.concatenate([band, np.zeros(-len(band) % 32)])
-    buf = np.zeros(x_max + 1 + len(band))
-    buf[x_max] = y0
-    windows = np.lib.stride_tricks.sliding_window_view(buf, len(band))[x_max:0:-1]
-    return buf, band.dot, windows
+def _block_maps(coeffs, reach, b: int) -> tuple:
+    """(E, F) on levels s..s+b-1: y = E @ r solves y(j) = r(j) + sum_{k=1}^{j} coeffs[k-1]
+    y(j-k), and (F @ y(s-L..s-1))[i] = sum_{k>i} reach[k-1] y(s+i-k) reaches back."""
+    e, n = np.eye(1, b, dtype=_LD)[0], len(reach)
+    for j in range(1, b):
+        e[j] = coeffs[:min(j, len(coeffs))] @ e[j - 1::-1][:len(coeffs)]
+    i, k = np.arange(b), np.arange(b)[:, None] + n - np.arange(n)
+    return (np.tril(e[np.abs(i[:, None] - i)]),
+            np.where(k <= n, np.asarray(reach)[np.minimum(k, n) - 1], _LD(0)))
 
 
+def _store(out: np.ndarray, s: int, blk) -> bool:
+    """Round blk into out[s:]; from the first value past float range on, fill inf, return False."""
+    out[s: s + len(blk)] = vals = blk[: len(out) - s].astype(float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    out[s + bad[0] if bad.size else len(out):] = math.inf
+    return not bad.size
+
+
+@np.errstate(over="ignore")  # _store flags the first value out of float range
 def _recur(coef: tuple, y0: float, growth: tuple[float, float], x_max: int,
-           forcing: list[float]) -> np.ndarray:
-    """Forward step shared by the W, tilted-W and Z recursions.
-
-    y(x+1) = (y(x) * num / den - sum_{k>=1} c_k y(x+1-k) - forcing(x))
-    / c_0 from y(0) = y0, where growth = (num, den) and coef comes from
-    _coefficients. A step costs O(L), or O(1) for the modified geometric
-    law. From the first non-finite value on, every entry reads inf.
-    """
-    c0, band, tail, ratio = coef
-    num, den = growth
-    buf, dot, windows = _banded(y0, band, x_max)
-    y, g = y0, 0.0
-    # overflow is detected by the callers; keep the loop warning-free
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, window in enumerate(windows):
-            s = float(dot(window)) + g
-            g = ratio * g + tail * y
-            y = (y * num / den - s - forcing[x]) / c0
-            if not math.isfinite(y):
-                buf[: x_max - x] = math.inf
-                break
-            buf[x_max - x - 1] = y
-    return buf[x_max::-1].copy()
+           forcing=()) -> np.ndarray:
+    """y(x+1) = (y(x) * num / den - sum_{k>=1} c_k y(x+1-k) - forcing(x))
+    / c_0 from y(0) = y0, for W, tilted W and Z; growth = (num, den), coef
+    from _coefficients. The modified geometric tail is folded in through
+    a factor (1 - ratio z), which leaves a band of three. O(n (L + b))."""
+    (c0, band, tail, ratio), b = coef, min(_BLOCK, x_max + 1)
+    d = np.zeros(max(len(band), 1) + 1, dtype=_LD)  # sum_k d_k y(m-k) = g(m)
+    d[0], d[1: len(band) + 1] = c0, band
+    d[1] -= _LD(growth[0]) / _LD(growth[1])
+    g = np.zeros(x_max + 1 + b, dtype=_LD)
+    g[0] = _LD(c0) * _LD(y0)
+    g[1: len(forcing) + 1] = -np.asarray(forcing, dtype=_LD)
+    if tail:
+        d = np.append(d, _LD(tail)) - _LD(ratio) * np.insert(d, 0, 0)
+        g[1:] -= _LD(ratio) * g[:-1]
+    g, L, coeffs = g / _LD(c0), len(d) - 1, -d[1:] / d[0]
+    e, far = _block_maps(coeffs, coeffs, b)
+    y, out = np.zeros(L + x_max + 1 + b, dtype=_LD), np.full(x_max + 1, math.inf)
+    for s in range(0, x_max + 1, b):  # y(m) at y[L + m]
+        y[L + s: L + s + b] = e @ (g[s: s + b] + far @ y[s: s + L])
+        if not _store(out, s, y[L + s: L + s + b]):
+            break
+    return out
 
 
 def _w_array(model: DiscountedModel, x_max: int) -> np.ndarray:
     """Forward harmonic recursion for W(0..x_max)."""
-    dist = model.dist
-    return _recur(_coefficients(dist), 1.0 / dist.p0, (1.0, model.v), x_max,
-                  [0.0] * x_max)
+    return _recur(_coefficients(model.dist), 1.0 / model.dist.p0, (1.0, model.v), x_max)
 
 
+@np.errstate(over="ignore")
 def _w_array_alt(model: DiscountedModel, x_max: int) -> np.ndarray:
-    """Independent recursion for W driven by the claim cdf.
-
-    W(n+1) = W(0) + sum_{k=1}^{n+1} c_k W(n+1-k) with
-    c_k = (1/v - P[C <= k]) / p_0. Used as a built-in self check. c_k is
-    constant from the largest claim L on, and (1/v - 1 + q alpha^(k-1))
-    / p_0 for the modified geometric law; so a step dots c_1..c_h (h =
-    L - 1, or 0) and carries the rest in a prefix and a geometric sum.
-    """
-    v, dist = model.v, model.dist
-    p0 = dist.p0
+    """Self-check recursion for W from the claim cdf, W(n+1) = W(0) + sum_{k=1}^{n+1}
+    c_k W(n+1-k) with c_k = (1/v - P[C <= k]) / p_0 >= 0: no sum cancels. A block
+    reaches back through a prefix sum, a band of L - 1 and a geometric sum."""
+    v, dist, b = _LD(model.v), model.dist, min(_BLOCK, x_max + 1)
+    p0, k = _LD(dist.p0), np.arange(1, b)
     if dist.kind == "table":
-        c = (1.0 / v - np.cumsum(dist.pmf)) / p0
-        head, const, geo, ratio = c[1:-1], float(c[-1]), 0.0, 0.0
-    else:
-        q = 1.0 - p0 - dist.p1
-        head, const, geo, ratio = [], (1.0 / v - 1.0) / p0, q / p0, dist.alpha
-    h = len(head)
-    w0 = 1.0 / p0
-    buf, dot, windows = _banded(w0, head, x_max)
-    total = g = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, window in enumerate(windows):
-            back = buf.item(x_max - n + h)  # W(n - h)
-            total += const * back
-            g = ratio * g + geo * back
-            w = w0 + float(dot(window)) + total + g
-            if not math.isfinite(w):
-                buf[: x_max - n] = math.inf
-                break
-            buf[x_max - n - 1] = w
-    return buf[x_max::-1].copy()
+        c = (1 / v - np.cumsum(np.asarray(dist.pmf, dtype=_LD))) / p0
+        head, const, geo, ratio = c[1:-1], c[-1], _LD(0), _LD(0)
+        ck = c[np.minimum(k, len(c) - 1)]
+    else:  # c_k = const + geo * ratio^(k-1)
+        head, const = np.zeros(0, dtype=_LD), (1 / v - 1) / p0
+        geo, ratio = (1 - p0 - _LD(dist.p1)) / p0, _LD(dist.alpha)
+        ck = const + geo * ratio ** (k - 1).astype(_LD)
+    h, (e, far) = len(head), _block_maps(ck, head - const, b)
+    powers = ratio ** np.arange(b).astype(_LD)
+    y, out = np.zeros(h + x_max + 1 + b, dtype=_LD), np.full(x_max + 1, math.inf)
+    total = tail = _LD(0)  # sum_{n<s} W(n), sum_{n<s} ratio^(s-1-n) W(n)
+    for s in range(0, x_max + 1, b):  # W(n) at y[h + n]
+        blk = e @ (1 / p0 + const * total + geo * tail * powers + far @ y[s: s + h])
+        y[h + s: h + s + b] = blk
+        total, tail = total + blk.sum(), tail * ratio ** b + powers[::-1] @ blk
+        if not _store(out, s, blk):
+            break
+    return out
 
 
 def _w_array_tilted(model: DiscountedModel, x_max: int) -> np.ndarray:
     """Recursion for W(x) * phi^x, which stays bounded by A / phi."""
     f, dist = model.phi_v, model.dist
-    return _recur(_coefficients(dist, f), 1.0 / dist.p0, (f / model.v, 1.0), x_max,
-                  [0.0] * x_max)
+    return _recur(_coefficients(dist, f), 1.0 / dist.p0, (f / model.v, 1.0), x_max)
 
 
 def _z_tail_terms(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
@@ -154,7 +154,7 @@ def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
     if x_max < 0:
         raise DomainError("x_max must be nonnegative")
     return _recur(_coefficients(model.dist), 1.0, (1.0, model.v), x_max,
-                  _z_tail_terms(model, w, x_max).tolist())
+                  _z_tail_terms(model, w, x_max))
 
 
 @dataclass

@@ -214,13 +214,14 @@ def test_rescaled_matches_plain_in_range(three_tab_09):
 
 
 def test_w_over_dw_saturated_is_inf_without_warning(three_tab_v1):
-    # at v = 1 W saturates and dW(100) rounds to zero on both tables
+    # at v = 1 W creeps up by less than an ulp a level, and dW(99)
+    # rounds to zero on both tables
     rt = w_table(three_tab_v1.model, 120, rescaled=True)
-    assert three_tab_v1.dw(100) == 0.0
+    assert three_tab_v1.dw(99) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rt.w_over_dw(5, 100) == np.inf
-        assert three_tab_v1.w_over_dw(5, 100) == np.inf
+        assert rt.w_over_dw(5, 99) == np.inf
+        assert three_tab_v1.w_over_dw(5, 99) == np.inf
 
 
 def test_w_table_input_guards(three_tab_09):

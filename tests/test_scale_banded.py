@@ -1,9 +1,10 @@
-"""The banded scale recursions against exact arithmetic and closed forms.
+"""The blocked scale recursions against exact arithmetic and closed forms.
 
-W, tilted W and Z(., w) step through the last L values for a largest
-claim L, or one running geometric sum for the modified geometric law.
-These tests hold their accuracy to what the dense prefix recursion they
-replaced achieved, and cover the early stop at the first overflow.
+W, tilted W and Z(., w) are solved in blocks in extended precision,
+reaching back over the last L values for a largest claim L, or over a
+band of three for the modified geometric law. These tests hold their
+accuracy to what the dense prefix recursion they replaced achieved, and
+cover the stop at the first overflow.
 """
 
 import math
@@ -20,6 +21,8 @@ from skipfree.scale import _w_array, _w_array_alt, _w_array_tilted, z_table_w
 FOUR_POINT = validate(["3/4", "1/20", "1/10", "0", "0", "0", "0", "1/10"])
 THREE_POINT = validate(["2/3", "2/9", "0", "1/9"])
 MODGEOM = modified_geometric(p0=0.6, p1=0.24, alpha=0.4)
+# alpha^32 = 0.034: the geometric tail reaches back across many blocks
+SLOW_TAIL = modified_geometric(p0=0.8, p1=0.15, alpha=0.9)
 
 
 def _law32():
@@ -84,19 +87,37 @@ def test_w_within_dense_envelope(law, v):
     assert err <= ENVELOPE[law, v]
 
 
+def _decimal_w_modgeom(dist, v, n):
+    """W(0..n) at 60 digits for the modified geometric law, from the
+    library's float p_0, p_1, alpha and v. The float closed form is no
+    oracle at this level: its powers of phi are 2.5e-12 off at n = 8000."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p0, p1, a = Decimal(dist.p0), Decimal(dist.p1), Decimal(dist.alpha)
+        tail, inv_v = (1 - p0 - p1) * (1 - a), 1 / Decimal(v)
+        w, g = [1 / p0], Decimal(0)
+        for x in range(n):
+            s = p1 * w[x] + g
+            g = a * g + tail * w[x]
+            w.append((w[x] * inv_v - s) / p0)
+        return w
+
+
 def test_modgeom_w_within_dense_envelope():
-    # the dense recursion measured 2.47e-12 here
+    # the dense recursion measured 5.16e-14 here
     got = _w_array(DiscountedModel(MODGEOM, 0.999), 8000)
-    want = _closed(closed_form_w_modgeom, MODGEOM, 0.999, 8000)
-    assert np.max(np.abs(got / want - 1.0)) <= 2.47e-12
+    exact = _decimal_w_modgeom(MODGEOM, 0.999, 8000)
+    err = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(got, exact))
+    assert err <= 5.17e-14
 
 
+@pytest.mark.parametrize("dist", [MODGEOM, SLOW_TAIL], ids=["alpha0.4", "alpha0.9"])
 @pytest.mark.parametrize("v", [0.8, 0.999])
-def test_modgeom_recursions_match_closed_forms(v):
+def test_modgeom_recursions_match_closed_forms(dist, v):
     n = 4000
-    model = DiscountedModel(MODGEOM, v)
-    w_closed = _closed(closed_form_w_modgeom, MODGEOM, v, n)
-    z_closed = _closed(closed_form_z_modgeom, MODGEOM, v, n)
+    model = DiscountedModel(dist, v)
+    w_closed = _closed(closed_form_w_modgeom, dist, v, n)
+    z_closed = _closed(closed_form_z_modgeom, dist, v, n)
     with np.errstate(over="ignore"):
         untilt = model.phi_v ** -np.arange(n + 1, dtype=float)
         untilted = _w_array_tilted(model, n) * untilt
@@ -137,3 +158,14 @@ def test_table_shorter_than_largest_claim(x_max):
     assert np.array_equal(short.zw_array(0.3), long.zw_array(0.3)[: x_max + 1])
     assert np.array_equal(w_table(model, x_max, rescaled=True).tilted_w_array(),
                           w_table(model, 400, rescaled=True).tilted_w_array()[: x_max + 1])
+
+
+@pytest.mark.parametrize("law", ["four_point", "law32", "modgeom"])
+@pytest.mark.parametrize("x_max", [31, 32, 33, 100])
+def test_prefix_does_not_depend_on_table_length(law, x_max):
+    # blocks are laid from level 0 at a fixed size, so a table's entries
+    # do not depend on where it ends, across block edges as well
+    model = DiscountedModel(MODGEOM if law == "modgeom" else LAWS[law], 0.999)
+    for build in (_w_array, _w_array_alt, _w_array_tilted,
+                  lambda m, n: z_table_w(m, 0.3, n)):
+        assert np.array_equal(build(model, x_max), build(model, 400)[: x_max + 1])

@@ -50,19 +50,19 @@ QUANTITIES = {
 }
 
 PINS = {
-    "W": "fc7ca8fa7f45dd24fb5b4d30ef345520c616f6c5b2da1e9bf18605344357e518",
-    "Z": "9fb383c06675dbcbb8eb7f0f5023c293e0f0cf1a22f53623b6e86ca4fc4db712",
-    "Z(.,0.3)": "e564b2740e517bf953a46308e73bf6863eb785f25d45f0d3f8c5302c93fe1625",
-    "Z(.,0.7)": "f1e783ce4c617dc2df246c4764c9122deec8adc94caa04e2510041ea1f62514e",
-    "Z1": "08c4e6345bab13e8ff1dd075361a4a8ded595b114b5c58c58a178ecb9c3fe7e3",
-    "dW": "6dc21561b0f17b125ff509e4e377ca0ba60e4afe1d4c03f879616d9ab6d30df7",
-    "definetti": "af40b7e19140505ec6d8d40e4cbe7d45084b6e12a935adde645ee0ba487f361c",
-    "definetti rescaled": "72f7de72d3b5d0caeb38d60d21fed7d6360316581596f556d4d1db425a544feb",
-    "doubly_reflected": "c015afbc4b7f4e9700df343aab2e22c7c3dc3f1dec17f1a6da091e858c4dfb84",
-    "modified_definetti": "dd74ec7ab13143dba622418027be487cde6be0c0cddf35044cca1da537bd3a35",
-    "rescaled": "ac60a6aa1f187f26dbf4192bc3e491a1b3b643db6a4b79ed5a143a3b06dff5a7",
-    "rescaled accessors": "b5b6cf775614d304b5556651706496f721fa207cc0f2c7e2a685789aeb742cfc",
-    "tilted": "936407776f6de0d4d0f60f09c44a74e68b8ee9f6d353dcb059e42d70e4e6b97a",
+    "W": "b2072cba800dee285f86f1c557c05155cfd0acef5268b2a28d5e9c67b556f955",
+    "Z": "a99648e16810f63c05fcd202efd8e0ab0b8fd4715c521e1c3e51273e1565779c",
+    "Z(.,0.3)": "3b9424081c025b9dda999b9818bec7800ef2076ab78e78fece4ca3b464e8bd61",
+    "Z(.,0.7)": "9beefa5a4442edd761003460e91ab5e59e0b00fed1d4e8c3a1e91c084a870a6e",
+    "Z1": "c2d9d2f2aa7feec7a0c6f85eda924464f327b30f8c07767ba6fd708460119ca8",
+    "dW": "b9d789fd908af4e7a8aa6b72b2455e03f8487a45d426efc43c57fbed9c6155b3",
+    "definetti": "cc239b788def074334573d68d29ebbfb8885933f5021f0e42a894cade4903ded",
+    "definetti rescaled": "8a74911088973d9449158a5111aa3607557d1545c99dc4036217b6e186997465",
+    "doubly_reflected": "4a7f1734f40a4a0c515b1f62eb7ad413dcb9bf6006a6d4bc58f39ef7315b437d",
+    "modified_definetti": "2c187db08fb11623bc011cb6d51f4c7a1dda78c31b8461944d07d2df3e8dc9a8",
+    "rescaled": "69cab66c29b1763f4fcac1abfe54680b63bb4b3149fe75ea2b318e3f1c83b55f",
+    "rescaled accessors": "e69bc4bfffb46b5adcfb453c7b4db5107b70767bbec7afca7434913401036670",
+    "tilted": "4c44e0d10a398d070662499dd96eb57e9e44df64a34df3108c94e95daf793361",
 }
 
 
