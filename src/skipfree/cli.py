@@ -125,10 +125,10 @@ def _table_for(args: argparse.Namespace, x_max: int, rescaled: bool = False):
 
 def cmd_scale(args: argparse.Namespace) -> int:
     table = _table_for(args, args.xmax + 1)
-    cols = (table.w, table.dw, table.z, table.z1)
+    cols = (table.w_array(), table._dw(0, args.xmax), table._z_values(), table._z1_values())
     lines = ["x,W,dW,Z,Z1"]
-    for x in range(args.xmax + 1):
-        lines.append(",".join([str(x)] + [_fmt(col(x)) for col in cols]))
+    for x, row in enumerate(zip(*(col[: args.xmax + 1].tolist() for col in cols))):
+        lines.append(",".join([str(x)] + [_fmt(c) for c in row]))
     print("\n".join(lines))
     return 0
 
@@ -242,6 +242,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "xmax", 0) < 0:
+            raise UsageError("--xmax must be nonnegative")
         return args.func(args)
     except (SkipfreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

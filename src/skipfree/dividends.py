@@ -12,26 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import Degenerate, DomainError
 from .scale import ScaleTable
-
-
-def _ratio(num: float, den: float) -> float:
-    """num / den, reporting signed infinity when the denominator has
-    underflowed to zero.
-
-    At v = 1 the table saturates and W(b+1) - W(b) can round to exactly
-    zero even though the exact difference is positive; the barrier
-    values then exceed float range and are reported as inf rather than
-    raising.
-    """
-    if den != 0.0:
-        return num / den
-    if num > 0.0:
-        return math.inf
-    if num < 0.0:
-        return -math.inf
-    return math.nan
 
 
 @dataclass(frozen=True)
@@ -148,6 +132,8 @@ def dividends_law_at_barrier(table: ScaleTable, b: int) -> float:
 
 def dividends_law_pgf(table: ScaleTable, b: int, t: float) -> float:
     """Probability generating function of the geometric dividend count."""
+    if b < 0:
+        raise DomainError("barrier must be nonnegative")
     if not 0.0 < t <= 1.0:
         raise DomainError(f"pgf argument {t} outside (0, 1]")
     if t == 1.0:
@@ -162,18 +148,28 @@ def bailout_value_reflected(table: ScaleTable, b: int, x: int) -> float:
     if b < 0:
         raise DomainError("barrier must be nonnegative")
     _check_not_degenerate(table)
-    if x > b:
-        x = b
-    return _ratio(table.w(x) * table.dz1(b), table.dw(b)) - table.z1(x)
+    x = min(x, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # dW(b) = 0 at v = 1
+        return float(np.float64(table.w(x) * table.dz1(b)) / table.dw(b)) - table.z1(x)
+
+
+def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) -> np.ndarray:
+    """H(b) of an objective on b = lo..hi. Where dW rounds to 0 as W saturates at
+    v = 1, though the exact difference is positive, H is +-inf (nan at 0 / 0)."""
+    if objective == "modified_definetti":
+        if k < 0.0:
+            raise DomainError("penalty factor k must be nonnegative")
+        _check_not_degenerate(table)
+    if objective == "doubly_reflected" and table.v >= 1.0:
+        raise DomainError("doubly reflected influence needs v < 1")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _SCAN[objective][0](table, k, lo, hi)
 
 
 def modified_definetti_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dW(b) of the dividends-minus-
     k-times-deficit objective; maximize over b."""
-    if k < 0.0:
-        raise DomainError("penalty factor k must be nonnegative")
-    _check_not_degenerate(table)
-    return _ratio(1.0 - k * table.dz1(b), table.dw(b))
+    return float(_influence("modified_definetti", table, k, b, b)[0])
 
 
 def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> float:
@@ -208,9 +204,7 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
 def doubly_reflected_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dZ(b) of dividends minus k times
     bailouts under double reflection; maximize over b."""
-    if table.v >= 1.0:
-        raise DomainError("doubly reflected influence needs v < 1")
-    return (1.0 - k * table.dz1(b)) / table.dz(b)
+    return float(_influence("doubly_reflected", table, k, b, b)[0])
 
 
 def doubly_reflected_influence_affine(table: ScaleTable, b: int, k: float) -> float:
@@ -234,17 +228,12 @@ def doubly_reflected_value(table: ScaleTable, b: int, x: int, k: float) -> float
 def _strict_local_minima(vals) -> list[int]:
     """Indices of strict local minima, plateaus reported at their left
     endpoint; the right window edge never qualifies."""
-    runs: list[tuple[float, int]] = []
-    for i, v in enumerate(vals):
-        if not runs or runs[-1][0] != v:
-            runs.append((float(v), i))
-    out = []
-    for r, (val, start) in enumerate(runs):
-        left_ok = r == 0 or runs[r - 1][0] > val
-        right_ok = r < len(runs) - 1 and runs[r + 1][0] > val
-        if left_ok and right_ok:
-            out.append(start)
-    return out
+    vals = np.asarray(vals, dtype=float)
+    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    runs = vals[starts]
+    left = np.r_[True, runs[:-1] > runs[1:]]
+    right = np.r_[runs[1:] > runs[:-1], False]
+    return starts[left & right].tolist()
 
 
 def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
@@ -255,19 +244,25 @@ def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
     """
     if b_max < 0:
         raise DomainError("b_max must be nonnegative")
-    vals = [table.dw(b) for b in range(b_max + 1)]
-    return _strict_local_minima(vals)
+    return _strict_local_minima(table._dw(0, b_max))
 
 
-# objective -> (influence(table, b, k), value(table, b, x, k)); the values are
-# called by module name, so rebinding one here also reaches the scan
+def _dz1(t: ScaleTable, lo: int, hi: int) -> np.ndarray:
+    return t._increments(t._z1_values, lo, hi)
+
+
+# objective -> (H(b) on b = lo..hi, one expression in the increments of W, Z
+# and Z1; value(table, b, x, k)); the values are called by module name, so
+# rebinding one here also reaches the scan
 _SCAN = {
-    "definetti": (lambda t, b, k: _ratio(1.0, t.dw(b)),
+    "definetti": (lambda t, k, lo, hi: 1.0 / t._dw(lo, hi),
                   lambda t, b, x, k: definetti_value(t, b, x)),
-    "modified_definetti": (modified_definetti_influence,
-                           lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
-    "doubly_reflected": (doubly_reflected_influence,
-                         lambda t, b, x, k: doubly_reflected_value(t, b, x, k)),
+    "modified_definetti": (
+        lambda t, k, lo, hi: (1.0 - k * _dz1(t, lo, hi)) / t._dw(lo, hi),
+        lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
+    "doubly_reflected": (
+        lambda t, k, lo, hi: (1.0 - k * _dz1(t, lo, hi)) / t._increments(t._z_values, lo, hi),
+        lambda t, b, x, k: doubly_reflected_value(t, b, x, k)),
 }
 OBJECTIVES = tuple(_SCAN)
 
@@ -286,16 +281,16 @@ def optimize_barrier(
         raise DomainError(f"unknown objective {objective!r}")
     if b_max < 0:
         raise DomainError("b_max must be nonnegative")
-    influence_at, value_at = _SCAN[objective]
-    influence = [influence_at(table, b, k) for b in range(b_max + 1)]
-    best = max(influence)
-    b_star = influence.index(best)
-    ties = tuple(b for b, h in enumerate(influence) if h == best)
+    h = _influence(objective, table, k, 0, b_max)
+    # max() semantics: a nan is passed over unless it stands at b = 0
+    best = h[0] if math.isnan(h[0]) else np.nanmax(h)
+    ties = np.flatnonzero(h == best)
+    b_star = int(ties[0]) if ties.size else 0
     rim = max(5, b_max // 5)
     # an infinite best means the table stopped resolving dW: the scan
     # cannot certify an interior maximum
     attained = b_star < b_max - rim and math.isfinite(best)
-    value = value_at(table, b_star, x, k)
+    value = _SCAN[objective][1](table, b_star, x, k)
     return BarrierResult(
         objective=objective,
         k=k,
@@ -303,8 +298,8 @@ def optimize_barrier(
         value=value,
         attained=attained,
         lemma_case="guaranteed" if x <= b_star else "heuristic",
-        ties=ties,
-        trace=tuple((b, influence[b]) for b in range(b_max + 1)),
+        ties=tuple(ties.tolist()),
+        trace=tuple(enumerate(h.tolist())),
     )
 
 

@@ -63,7 +63,9 @@ def phi_q(params: LevyChainParams, q: float) -> float:
     return -math.log(phi(params.dist, v)) / params.h + 0.0
 
 
-@lru_cache(maxsize=64)
+# a wq/zq grid of 24 rates at three lattice sizes needs 72 tables and two such
+# grids 144; a cache of 64 would evict each one before its next use
+@lru_cache(maxsize=256)
 def _chain_table(params: LevyChainParams, q: float, x_max: int) -> ScaleTable | None:
     """The chain's table on 0..x_max, or None where W overflows; the
     cache keeps a failed build too, so it is not tried again."""

@@ -84,9 +84,22 @@ class ClaimDistribution:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.kind not in (TABLE, MODIFIED_GEOMETRIC):
+            raise WrongKind(f"unknown distribution type {self.kind!r}")
         # catches a positive p_0 that rounds to zero as a float
         if not self.pmf[0] > 0.0:
             raise NonPositiveP0(f"p_0 = {self.pmf[0]} must be positive")
+        if self.kind == TABLE:
+            return
+        # modified_geometric checks these exactly; a law built directly is checked here
+        if len(self.pmf) != 2:
+            raise NotADistribution("a modified geometric pmf holds (p_0, p_1)")
+        if not self.p1 >= 0.0:
+            raise NotADistribution("p_1 must be nonnegative")
+        if not 0.0 <= self.alpha < 1.0:
+            raise NotADistribution(f"alpha = {self.alpha} outside [0, 1)")
+        if not self.p0 + self.p1 <= 1.0:
+            raise NotADistribution(f"p0 + p1 = {self.p0 + self.p1} exceeds 1")
 
     @property
     def p0(self) -> float:

@@ -293,7 +293,7 @@ def expected_stopped_w(table: ScaleTable, x: int, n: int) -> float:
     if table.x_max < x + n:
         raise OutOfTable(f"need the table up to x + n = {x + n}")
     q, _, disc = _stopped_dp(table, x, n, None)
-    vals = np.array([table.w(j) for j in range(len(q))])
+    vals = table._w_through(0, len(q) - 1)[: len(q)]
     return float(disc * np.dot(q, vals))
 
 

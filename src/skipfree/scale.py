@@ -10,18 +10,13 @@ these tables.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfiniteMean,
-    NoConvergence,
-    OutOfTable,
-    OverflowSignal,
-)
+from .errors import DomainError, NoConvergence, OutOfTable, OverflowSignal
 from .model import DiscountedModel
 
 _SELF_CHECK_RTOL = 1e-10
@@ -159,12 +154,12 @@ def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
 
 @dataclass
 class ScaleTable:
-    """Precomputed scale sequences for one model on 0..x_max.
+    """Precomputed scale columns for one model on 0..x_max.
 
-    Accessors apply the boundary conventions (W = 0, Z(., w) = w^{-x},
-    Z1 = x below zero) and raise OutOfTable past x_max. With
-    rescaled=True only the tilted W column W(x) * phi^x is stored, which
-    keeps ratios representable when W itself would overflow; the Z
+    Accessors read the columns, apply the boundary conventions (W = 0,
+    Z(., w) = w^{-x}, Z1 = x below zero) and raise OutOfTable past x_max.
+    With rescaled=True the tilted column W(x) * phi^x is built instead,
+    which keeps ratios representable when W itself would overflow; the Z
     family is unavailable in that mode.
     """
 
@@ -175,6 +170,7 @@ class ScaleTable:
     _z: np.ndarray | None = None
     _z1: np.ndarray | None = None
     _zw: dict[float, np.ndarray] = field(default_factory=dict)
+    _wcol: np.ndarray | None = None
 
     @property
     def v(self) -> float:
@@ -192,15 +188,46 @@ class ScaleTable:
         if self.rescaled:
             raise DomainError(f"{what} is unavailable on a rescaled table")
 
+    def _w_column(self) -> np.ndarray:
+        """W(0..x_max). A rescaled table multiplies its tilted column out once,
+        level by level in Python floats, inf from the first level past float range."""
+        if self.rescaled and self._wcol is None:
+            col, phi = np.full(self.x_max + 1, math.inf), self.phi
+            with contextlib.suppress(OverflowError):  # from phi ** -x
+                for x, tilted in enumerate(self._w.tolist()):
+                    col[x] = tilted * phi ** float(-x)
+                    if col[x] == math.inf:
+                        break
+            self._wcol = col
+        return self._wcol if self.rescaled else self._w
+
+    def _increments(self, column, lo: int, hi: int) -> np.ndarray:
+        """column()[b + 1] - column()[b] for b = lo..hi; column is read after the range checks."""
+        if lo < 0:
+            raise DomainError("difference index must be nonnegative")
+        self._check_index(hi + 1)
+        vals = column()
+        return vals[lo + 1: hi + 2] - vals[lo: hi + 1]
+
+    def _w_through(self, lo: int, hi: int) -> np.ndarray:
+        """The W column, checked on levels lo..hi (0 <= lo <= hi <= x_max): the inf
+        filling a rescaled column past float range raises, naming its first level."""
+        col = self._w_column()
+        if col[hi] == math.inf:
+            first = lo + int(np.argmax(col[lo: hi + 1] == math.inf))
+            raise OverflowSignal(f"W({first}) exceeds float range")
+        return col
+
+    def _dw(self, lo: int, hi: int) -> np.ndarray:
+        """dW(b) for b = lo..hi; W(b + 1) in float range puts W(b) there too."""
+        return self._increments(lambda: self._w_through(lo + 1, hi + 1), lo, hi)
+
     def w_array(self) -> np.ndarray:
         """Plain W(0..x_max); raises OverflowSignal if unrepresentable."""
-        if not self.rescaled:
-            return self._w
-        with np.errstate(over="ignore"):
-            out = self._w * self.phi ** -np.arange(self.x_max + 1, dtype=float)
-        if not np.all(np.isfinite(out)):
+        col = self._w_column()
+        if col[-1] == math.inf:
             raise OverflowSignal("W exceeds float range; work with ratios instead")
-        return out
+        return col
 
     def tilted_w_array(self) -> np.ndarray:
         """W(x) * phi^x, the column actually stored when rescaled."""
@@ -212,15 +239,7 @@ class ScaleTable:
         if x < 0:
             return 0.0
         self._check_index(x)
-        if not self.rescaled:
-            return float(self._w[x])
-        try:
-            val = float(self._w[x]) * self.phi ** float(-x)
-        except OverflowError:
-            raise OverflowSignal(f"W({x}) exceeds float range") from None
-        if not math.isfinite(val):
-            raise OverflowSignal(f"W({x}) exceeds float range")
-        return val
+        return float(self._w_through(x, x)[x])
 
     def w_ratio(self, x: int, y: int) -> float:
         """W(x) / W(y), computed stably on rescaled tables."""
@@ -237,16 +256,9 @@ class ScaleTable:
         except OverflowError:
             raise OverflowSignal(f"W({x})/W({y}) exceeds float range") from None
 
-    def _diff(self, at, b: int, *args) -> float:
-        """First difference at(b + 1, *args) - at(b, *args) of an accessor."""
-        if b < 0:
-            raise DomainError("difference index must be nonnegative")
-        self._check_index(b + 1)
-        return at(b + 1, *args) - at(b, *args)
-
     def dw(self, b: int) -> float:
         """First difference W(b+1) - W(b)."""
-        return self._diff(self.w, b)
+        return float(self._dw(b, b)[0])
 
     def w_over_dw(self, x: int, b: int) -> float:
         """W(x) / (W(b+1) - W(b)), stable on rescaled tables."""
@@ -256,8 +268,7 @@ class ScaleTable:
         if x < 0:
             return 0.0
         self._check_index(x)
-        # dW can round to zero at v = 1 once W saturates; the ratio is
-        # then reported as inf
+        # dW can round to zero at v = 1 once W saturates; the ratio is then inf
         if not self.rescaled:
             with np.errstate(divide="ignore"):
                 return float(self._w[x] / (self._w[b + 1] - self._w[b]))
@@ -266,8 +277,7 @@ class ScaleTable:
             with np.errstate(divide="ignore"):
                 return float(self._w[x] / den * self.phi ** float(b + 1 - x))
         except OverflowError:
-            raise OverflowSignal(
-                f"W({x})/dW({b}) exceeds float range") from None
+            raise OverflowSignal(f"W({x})/dW({b}) exceeds float range") from None
 
     def cum_w(self, x: int) -> float:
         """Sum of W(y) for 0 <= y < x."""
@@ -292,17 +302,14 @@ class ScaleTable:
         return float(self._z_values()[x])
 
     def dz(self, b: int) -> float:
-        return self._diff(self.z, b)
+        return float(self._increments(self._z_values, b, b)[0])
 
     def _z1_values(self) -> np.ndarray:
         self._no_rescale("Z1")
         if self._z1 is None:
-            m = self.model.dist.mean
-            if math.isinf(m):
-                raise InfiniteMean("Z1 requires a finite claim mean")
             zc = np.concatenate([[0.0], np.cumsum(self._z_values()[:-1])])
             wc = np.concatenate([[0.0], np.cumsum(self._w[:-1])])
-            self._z1 = zc - (1.0 - m) * wc
+            self._z1 = zc - (1.0 - self.model.dist.mean) * wc
         return self._z1
 
     def z1(self, x: int) -> float:
@@ -312,17 +319,15 @@ class ScaleTable:
         return float(self._z1_values()[x])
 
     def dz1(self, b: int) -> float:
-        return self._diff(self.z1, b)
+        return float(self._increments(self._z1_values, b, b)[0])
 
     def zw_array(self, w: float) -> np.ndarray:
         """Z(0..x_max, w), computed once per transform argument."""
         self._no_rescale("Z(., w)")
         key = float(w)
         if key not in self._zw:
-            if key == 1.0:
-                self._zw[key] = self._z_values()
-            else:
-                self._zw[key] = z_table_w(self.model, key, self.x_max)
+            self._zw[key] = (self._z_values() if key == 1.0
+                             else z_table_w(self.model, key, self.x_max))
         return self._zw[key]
 
     def z_at(self, x: int, w: float) -> float:
@@ -334,7 +339,7 @@ class ScaleTable:
         return float(self.zw_array(w)[x])
 
     def dzw(self, b: int, w: float) -> float:
-        return self._diff(self.z_at, b, w)
+        return float(self._increments(lambda: self.zw_array(w), b, b)[0])
 
 
 def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> ScaleTable:

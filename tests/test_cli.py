@@ -170,3 +170,28 @@ def test_overflowing_embed_under_warnings_as_errors(model_file):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert out.stderr == "error: W exceeds float range on 0..1135\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale", "--xmax", "-1"],
+    ["scale", "--xmax", "-2"],
+    ["embed", "--gamma", "2", "--step", "0.5", "--q", "0", "--xmax", "-1"],
+    ["ruin", "--xmax", "-1"],
+    ["ruin", "--n", "3", "--xmax", "-1"],
+    ["passage", "--v", "0.9", "--xmax", "-1"],
+    ["optimize", "--v", "0.9", "--xmax", "-1"],
+])
+def test_negative_xmax_is_a_usage_error(model_file, capsys, argv):
+    rc = main([argv[0], "--model", model_file, *argv[1:]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --xmax must be nonnegative\n"
+
+
+def test_rescaled_scan_past_float_range_names_first_level(gsy_file, capsys):
+    rc = main(["optimize", "--model", gsy_file, "--v", "0.8", "--bmax", "2000", "--rescaled"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: W(1752) exceeds float range\n"

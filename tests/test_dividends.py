@@ -138,6 +138,13 @@ def test_dividends_law_geometric(three_tab_09):
         dividends_law_pgf(three_tab_09, 2, 0.0)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_dividends_law_pgf_rejects_negative_barrier(three_tab_09, t):
+    # as dividends_law_at_barrier does; t = 1 used to return 1.0 for any b
+    with pytest.raises(DomainError, match="barrier must be nonnegative"):
+        dividends_law_pgf(three_tab_09, -1, t)
+
+
 def test_bailout_value_nonnegative_below_barrier(three_tab_09, gsy_tab):
     for table, b in ((three_tab_09, 6), (gsy_tab, 10)):
         for x in range(b + 1):
@@ -188,6 +195,29 @@ def test_strict_local_minima_edge_rules():
     assert _strict_local_minima([3, 2, 1]) == []
     assert _strict_local_minima([1, 2]) == [0]
     assert _strict_local_minima([2, 1, 3, 0, 4]) == [1, 3]
+
+
+def _strict_local_minima_loop(vals):
+    """The per-value loop the array version replaced, kept as its reference."""
+    runs = []
+    for i, v in enumerate(vals):
+        if not runs or runs[-1][0] != v:
+            runs.append((float(v), i))
+    out = []
+    for r, (val, start) in enumerate(runs):
+        left_ok = r == 0 or runs[r - 1][0] > val
+        right_ok = r < len(runs) - 1 and runs[r + 1][0] > val
+        if left_ok and right_ok:
+            out.append(start)
+    return out
+
+
+def test_strict_local_minima_matches_loop():
+    rng = np.random.default_rng(11)
+    for n in [1, 2, 3, 5, 40] * 40:
+        vals = rng.integers(0, 4, n).astype(float)
+        vals[rng.random(n) < 0.1] = np.nan
+        assert _strict_local_minima(vals) == _strict_local_minima_loop(vals.tolist())
 
 
 def test_multiband_two_point(two_tab):

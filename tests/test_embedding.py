@@ -108,3 +108,25 @@ def test_overflowing_padding_is_built_once(four_point, monkeypatch):
     assert wq(p, 0.4, 1100) == first
     zq(p, 0.4, 1100)
     assert builds == [2048, 1100]
+
+
+def test_repeated_grids_build_no_table(three_point, four_point, monkeypatch):
+    # two grids of 24 rates at m = 40, 100, 200 hold 144 padded tables
+    builds = []
+
+    def counting_w_table(model, x_max):
+        builds.append(x_max)
+        return w_table(model, x_max)
+
+    monkeypatch.setattr(embedding, "w_table", counting_w_table)
+    embedding._chain_table.cache_clear()
+    grids = [LevyChainParams(dist=law, gamma=2.0, h=0.5) for law in (three_point, four_point)]
+    rates = [(i + 1) / 100 for i in range(24)]
+
+    def run():
+        return [(wq(p, q, m), zq(p, q, m)) for p in grids for q in rates for m in (40, 100, 200)]
+
+    first = run()
+    assert sorted(set(builds)) == [64, 128, 256] and len(builds) == 144
+    assert run() == first
+    assert len(builds) == 144

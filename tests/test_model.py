@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipfree import (
+    ClaimDistribution,
     DiscountedModel,
     DomainError,
     NonPositiveP0,
@@ -133,6 +134,31 @@ def test_modified_geometric_rejects_bad_parameters():
         modified_geometric(p0=0.5, p1=-0.1, alpha=0.3)
     with pytest.raises(NonPositiveP0):
         modified_geometric(p0=0.0, p1=0.4, alpha=0.3)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(kind="modified_geometric", pmf=(0.5, 0.1), alpha=1.0), NotADistribution),
+    (dict(kind="modified_geometric", pmf=(0.5, 0.1), alpha=1.5), NotADistribution),
+    (dict(kind="modified_geometric", pmf=(0.5, 0.1), alpha=-0.1), NotADistribution),
+    (dict(kind="modified_geometric", pmf=(0.5, 0.1), alpha=float("nan")), NotADistribution),
+    (dict(kind="modified_geometric", pmf=(0.5, -0.1), alpha=0.3), NotADistribution),
+    (dict(kind="modified_geometric", pmf=(0.5, 0.6), alpha=0.3), NotADistribution),
+    (dict(kind="modified_geometric", pmf=(0.5, 0.1, 0.4), alpha=0.3), NotADistribution),
+    (dict(kind="modified_geometric", pmf=(0.0, 0.1), alpha=0.3), NonPositiveP0),
+    (dict(kind="tabel", pmf=(0.5, 0.5)), WrongKind),
+    (dict(kind=["table"], pmf=(1.0,)), WrongKind),
+])
+def test_direct_construction_keeps_the_error_contract(kwargs, error):
+    with pytest.raises(error):
+        ClaimDistribution(**kwargs)
+
+
+def test_direct_construction_of_valid_laws():
+    d = ClaimDistribution(kind="modified_geometric", pmf=(0.6, 0.24), alpha=0.4)
+    assert d == modified_geometric(p0=0.6, p1=0.24, alpha=0.4)
+    # p0 + p1 that rounds to 1 leaves an empty tail, not an error
+    assert ClaimDistribution(kind="modified_geometric", pmf=(0.5, 0.5), alpha=0.3).mean == 0.5
+    assert ClaimDistribution(kind="table", pmf=(0.5, 0.5)) == validate(["1/2", "1/2"])
 
 
 def test_json_round_trip(three_point, modgeom):

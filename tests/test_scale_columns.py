@@ -1,0 +1,123 @@
+"""The scale tables read as columns: W once per table, each barrier scan one pass.
+
+A rescaled table multiplies its tilted column out once, with the Python
+products W(x) = (W(x) phi^x) * phi^-x, and every W reader takes that
+column. Each influence is one elementwise expression in the increments
+of W, Z and Z1; a scan applies it to b = 0..b_max and the public
+per-b functions to a single b, so both must agree bit for bit with the
+quotient of the per-b differences.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from skipfree import DiscountedModel, OverflowSignal, modified_geometric, w_table
+from skipfree.dividends import (
+    doubly_reflected_influence,
+    modified_definetti_influence,
+    multiband_diagnostics,
+    optimize_barrier,
+)
+
+
+def _bits(values):
+    """The float bits, every nan as one: numpy's 0 / 0 sets a nan's sign bit
+    and Python's math.nan does not, which no reader of a nan sees."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), math.nan, values).view(np.int64)
+
+
+def _quotient(num, den):
+    """num / den on Python floats, with a zero denominator giving +-inf, or
+    nan at 0 / 0, as the scans report a dW that rounded to 0."""
+    if den != 0.0:
+        return num / den
+    return math.copysign(math.inf, num) if num != 0.0 else math.nan
+
+
+def _check_scan(table, objective, k, b_max, per_b):
+    r = optimize_barrier(table, objective, k, 1, b_max)
+    assert [b for b, _ in r.trace] == list(range(b_max + 1))
+    trace = [h for _, h in r.trace]
+    assert all(type(h) is float for h in trace)
+    assert np.array_equal(_bits(trace), _bits(per_b))
+    # b_star and ties follow max() and index() over the per-b list
+    best = max(per_b)
+    assert r.b_star == per_b.index(best)
+    assert r.ties == tuple(b for b, h in enumerate(per_b) if h == best)
+    return trace
+
+
+@pytest.mark.parametrize("law", ["three_point", "four_point"])
+@pytest.mark.parametrize("v", [0.8, 0.999])
+def test_rescaled_w_array_is_w_bit_for_bit(law, v, request):
+    rt = w_table(DiscountedModel(request.getfixturevalue(law), v), 400, rescaled=True)
+    phi = rt.phi
+    products = [t * phi ** float(-x) for x, t in enumerate(rt.tilted_w_array().tolist())]
+    assert np.array_equal(_bits(rt.w_array()), _bits(products))
+    assert np.array_equal(_bits([rt.w(x) for x in range(401)]), _bits(products))
+    assert np.array_equal(_bits([rt.dw(b) for b in range(400)]), _bits(np.diff(products)))
+
+
+@pytest.mark.parametrize("v", [0.999, 1.0])
+def test_scans_equal_per_b_influences(three_point, v):
+    t = w_table(DiscountedModel(three_point, v), 402)
+    b_max, k = 400, 1.2
+    dw = [t.dw(b) for b in range(b_max + 1)]
+    dz1 = [t.dz1(b) for b in range(b_max + 1)]
+    per_b = [modified_definetti_influence(t, b, 0.0) for b in range(b_max + 1)]
+    trace = _check_scan(t, "definetti", 0.0, b_max, per_b)
+    assert np.array_equal(_bits(trace), _bits([_quotient(1.0, d) for d in dw]))
+    per_b = [modified_definetti_influence(t, b, k) for b in range(b_max + 1)]
+    trace = _check_scan(t, "modified_definetti", k, b_max, per_b)
+    assert np.array_equal(_bits(trace), _bits([_quotient(1.0 - k * z, d)
+                                               for z, d in zip(dz1, dw)]))
+    if v == 1.0:
+        # W saturates and dW rounds to 0 from b = 55 on: H is inf there
+        assert dw[55] == 0.0 and trace[55] == math.inf
+        return
+    dz = [t.dz(b) for b in range(b_max + 1)]
+    per_b = [doubly_reflected_influence(t, b, k) for b in range(b_max + 1)]
+    trace = _check_scan(t, "doubly_reflected", k, b_max, per_b)
+    assert np.array_equal(_bits(trace), _bits([(1.0 - k * z1) / z
+                                               for z1, z in zip(dz1, dz)]))
+
+
+def test_saturated_scan_with_inf_and_nan_entries():
+    # modified geometric law at v = 1: dW rounds to 0 from b = 88 on while
+    # dZ1 still takes values of a few ulps of either sign, so a penalty of
+    # 1 / dZ1(97) gives 0 / 0 at b = 97 and +-inf elsewhere
+    t = w_table(DiscountedModel(modified_geometric(p0=0.6, p1=0.24, alpha=0.4), 1.0), 400)
+    b_max = 398
+    k = 1.0 / t.dz1(97)
+    assert t.dw(97) == 0.0 and 1.0 - k * t.dz1(97) == 0.0
+    per_b = [modified_definetti_influence(t, b, k) for b in range(b_max + 1)]
+    trace = _check_scan(t, "modified_definetti", k, b_max, per_b)
+    assert math.isnan(trace[97])
+    assert math.inf in trace and -math.inf in trace
+    assert np.array_equal(_bits(trace), _bits(
+        [_quotient(1.0 - k * t.dz1(b), t.dw(b)) for b in range(b_max + 1)]))
+
+
+def test_rescaled_definetti_scan_equals_per_b_influence(four_point):
+    rt = w_table(DiscountedModel(four_point, 0.8), 1502, rescaled=True)
+    per_b = [_quotient(1.0, rt.dw(b)) for b in range(1501)]
+    _check_scan(rt, "definetti", 0.0, 1500, per_b)
+
+
+def test_rescaled_scan_past_float_range_names_first_level(four_point):
+    rt = w_table(DiscountedModel(four_point, 0.8), 2002, rescaled=True)
+    assert math.isfinite(rt.w(1751))
+    message = r"^W\(1752\) exceeds float range$"
+    with pytest.raises(OverflowSignal, match=message):
+        optimize_barrier(rt, "definetti", 0.0, 0, 2000)
+    with pytest.raises(OverflowSignal, match=message):
+        multiband_diagnostics(rt, 2000)
+    with pytest.raises(OverflowSignal, match=message):
+        rt.dw(1751)
+    with pytest.raises(OverflowSignal, match=r"^W\(1800\) exceeds float range$"):
+        rt.w(1800)
+    with pytest.raises(OverflowSignal):
+        rt.w_array()
