@@ -1,22 +1,32 @@
 """Monte Carlo oracle for every analytic functional in the package.
 
 Claims are drawn by inverse CDF from a counter-based Philox stream, so
-runs are reproducible and independent across the stream index. The
-simulation is step-major over a compacted set of active paths: all
-paths share the clock, which lets discounting use a scalar v^t.
+runs are reproducible and independent across the stream index.
 
-One stepping kernel serves the four policies: the free walk, killed
+One event-driven kernel serves the four policies: the free walk, killed
 on leaving a band; reflection at an upper barrier b (dividends); at 0
-(capital injections); and at both. A step moves every live path by
-1 - claim, then (1) reflects it at 0, tallying the injection, (2)
-absorbs it at or above the upper or at or below the lower level,
-scoring the functional there, and (3) reflects it at b, paying one
-unit. The start goes through the same events at t = 0 with discount 1,
-so a start outside the band is reflected (the excess injected or paid
-at once) or absorbed before any draw. Each functional names the
-tallies it reads (discounted dividends, dividend count, injection
-count, discounted injections, discounted visits to a state), and the
-kernel keeps only those.
+(capital injections); and at both. The walk is upwards skip-free, so
+between claims it climbs by exactly 1 per step, and every barrier event
+falls at a claim epoch or at a known time along a climb. Each iteration
+draws, for every live path, its run of zero claims (geometric, infinite
+for the one-atom law) and the claim that ends it (from the law
+conditioned on >= 1), and resolves the climb in closed form: absorption
+at the upper level, the dividends paid at b as a geometric sum of v^t,
+and the visits the resolvent counts, all truncated at the horizon cap.
+The claim epoch then goes through the events of a step: (1) reflection
+at 0, tallying the injection, (2) absorption at or above the upper or at
+or below the lower level, scoring the functional there, and (3)
+reflection at b, paying the excess. The start goes through the same
+events at t = 0 with discount 1, so a start outside the band is
+reflected (the excess injected or paid at once) or absorbed before any
+draw. Paths keep their own clocks, and each score reads the discount
+v^t of its own paths.
+
+Each functional names the tallies it reads (discounted dividends,
+dividend count, injection count, discounted injections, discounted
+visits to a state), and the kernel keeps only those. Functionals that
+share the policy, band, law, start, v and cap can be scored from one
+pass; the registry runs its three doubly-reflected rows that way.
 
 Geometric killing at rate 1 - v is applied analytically (each period
 contributes a factor v) except where the killed dividend count itself
@@ -80,12 +90,18 @@ class FunctionalSpec:
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """A Monte Carlo mean with its counters: path_steps is the time steps
+    the paths covered, summed over paths, and claim_draws the claim
+    epochs drawn (both 0 for an estimate not made by the path kernel)."""
+
     mean: float
     std_error: float
     n_paths: int
     seed: int
     horizon_cap: int
     capped_fraction: float
+    path_steps: int
+    claim_draws: int
 
 
 def default_horizon_cap(v: float) -> int:
@@ -101,15 +117,46 @@ class _ClaimSampler:
 
     def __init__(self, dist: ClaimDistribution):
         self.dist = dist
+        # 0 for the one-atom law, whose runs of zero claims never end
+        self.log_p0 = math.log(dist.p0)
         if dist.kind == "table":
             cdf = np.cumsum(dist.pmf)
             cdf[-1] = 1.0
             self.cdf = cdf
+            if dist.p0 < 1.0:
+                # the law conditioned on a claim >= 1
+                tail = np.cumsum(dist.pmf[1:]) / (1.0 - dist.p0)
+                tail[-1] = 1.0
+                self.tail_cdf = tail
         else:
             self.p0 = dist.p0
             self.p1 = dist.p1
             self.q = 1.0 - dist.p0 - dist.p1
             self.alpha = dist.alpha
+            # P(C = 1 | C >= 1); the one-atom law never draws a claim
+            self.tail_p1 = dist.p1 / (1.0 - dist.p0) if dist.p0 < 1.0 else 1.0
+
+    def zero_run(self, u: np.ndarray) -> np.ndarray:
+        """Number of zero claims before the next claim >= 1, as floats
+        (inf for the one-atom law)."""
+        if self.log_p0 == 0.0:
+            return np.full(u.shape, np.inf)
+        run = np.log1p(-u)
+        run /= self.log_p0
+        return np.floor(run, out=run)
+
+    def draw_positive(self, u: np.ndarray) -> np.ndarray:
+        """Claims drawn from the law conditioned on a claim >= 1."""
+        if self.dist.kind == "table":
+            return 1 + np.searchsorted(self.tail_cdf, u, side="right")
+        out = np.ones(u.shape, dtype=np.int64)
+        rest = u >= self.tail_p1
+        if self.alpha == 0.0:
+            out[rest] = 2
+        else:
+            u2 = (u[rest] - self.tail_p1) / (1.0 - self.tail_p1)
+            out[rest] = 2 + np.floor(np.log1p(-u2) / math.log(self.alpha)).astype(np.int64)
+        return out
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         if self.dist.kind == "table":
@@ -133,7 +180,8 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
-def _estimate(values: np.ndarray, seed: int, cap: int, n_capped: int) -> MCEstimate:
+def _estimate(values: np.ndarray, seed: int, cap: int, n_capped: int,
+              path_steps: int = 0, claim_draws: int = 0) -> MCEstimate:
     n = len(values)
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MCEstimate(
@@ -143,6 +191,8 @@ def _estimate(values: np.ndarray, seed: int, cap: int, n_capped: int) -> MCEstim
         seed=seed,
         horizon_cap=cap,
         capped_fraction=n_capped / n,
+        path_steps=path_steps,
+        claim_draws=claim_draws,
     )
 
 
@@ -236,64 +286,139 @@ _KINDS = {
 }
 
 
-def _run(sampler, x0, fn, kind, n_paths, rng, cap, b):
-    """The stepping kernel: every path's value and the number of paths
-    still running at the cap."""
-    for name in kind.needs:
-        if getattr(fn, name) is None:
-            raise InvalidFunctional(f"{fn.kind} needs {name}")
-    upper, lower = kind.band(fn)
-    at_0 = kind.policy in _REFLECT_AT_0
-    at_b = kind.policy in _REFLECT_AT_B
-    values = np.zeros(n_paths)
-    idx = np.arange(n_paths)
+def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
+    """The event kernel: each kind's value on every path (in the order
+    the paths stop), the number of paths still running at the cap, the
+    time steps they covered and the claim epochs drawn. The kinds share
+    policy and band, and fns[0] carries the v and target_state they share."""
+    for fn, kind in zip(fns, kinds):
+        for name in kind.needs:
+            if getattr(fn, name) is None:
+                raise InvalidFunctional(f"{fn.kind} needs {name}")
+    upper, lower = kinds[0].band(fns[0])
+    at_0 = kinds[0].policy in _REFLECT_AT_0
+    at_b = kinds[0].policy in _REFLECT_AT_B
+    v, target = fns[0].v, fns[0].target_state
+    log_v = math.log(v)
+    names = {name for kind in kinds for name in kind.tallies}
+    scores = [[] for _ in kinds]
     x = np.full(n_paths, x0, dtype=np.int64)
+    t = np.zeros(n_paths, dtype=np.int64)
     tally = {name: np.zeros(n_paths, dtype=np.int64 if name in _INT_TALLIES else float)
-             for name in kind.tallies}
+             for name in names}
+    n_capped = path_steps = claim_draws = 0
 
-    def score(fun, hit):
-        if fun is not None:
-            values[idx[hit]] = fun(fn, disc, x[hit], {k: a[hit] for k, a in tally.items()})
+    def score(which, hit):
+        sub = {k: a[hit] for k, a in tally.items()}
+        disc = v ** t[hit]
+        for out, fn, kind in zip(scores, fns, kinds):
+            fun = getattr(kind, which)
+            out.append(np.zeros(hit.size) if fun is None
+                       else np.broadcast_to(fun(fn, disc, x[hit], sub), hit.shape))
 
-    disc = 1.0
-    t = 0
-    while True:
-        # adding 0 where nothing happens leaves every tally bit-identical
-        if at_0:
-            under = np.maximum(-x, 0)
+    first = True
+    while x.size:
+        # the events of each path's epoch: the start, a claim or the cap
+        if at_0 and (hit := np.flatnonzero(x < 0)).size:
+            under = -x[hit]
             if "inj" in tally:
-                tally["inj"] += under
+                tally["inj"][hit] += under
             if "bail" in tally:
-                tally["bail"] += disc * under
-            np.maximum(x, 0, out=x)
-        hits = [(kind.above, x >= upper)] if upper is not None else []
-        if lower is not None:
-            hits.append((kind.below, x <= lower))
-        if hits and (stopped := np.logical_or.reduce([hit for _, hit in hits])).any():
-            for fun, hit in hits:
-                score(fun, hit)
-            keep = ~stopped
-            idx = idx[keep]
-            x = x[keep]
-            tally = {k: a[keep] for k, a in tally.items()}
-        if at_b:
-            # a step overshoots b by at most 1
-            excess = np.maximum(x - b, 0) if t == 0 else (x > b)
+                tally["bail"][hit] += v ** t[hit] * under
+            x[hit] = 0
+        stopped = np.zeros(x.size, dtype=bool)
+        for which, level, cross in (("above", upper, np.greater_equal),
+                                    ("below", lower, np.less_equal)):
+            if level is not None and (hit := np.flatnonzero(cross(x, level))).size:
+                score(which, hit)
+                stopped[hit] = True
+        if at_b and first:
+            # a claim epoch never lands above b, so only the start pays here
+            excess = np.maximum(x - b, 0)
             if "div" in tally:
-                tally["div"] += disc * excess
+                tally["div"] += excess
             if "paid" in tally:
                 tally["paid"] += excess
             np.minimum(x, b, out=x)
-        if not idx.size or t >= cap:
-            break
+        first = False
+        if (hit := np.flatnonzero((t >= cap) & ~stopped)).size:
+            score("at_cap", hit)
+            n_capped += hit.size
+            stopped[hit] = True
+        if stopped.any():
+            path_steps += int(t[stopped].sum())
+            keep = np.flatnonzero(~stopped)
+            x, t = x[keep], t[keep]
+            tally = {k: a[keep] for k, a in tally.items()}
+            if not x.size:
+                break
+        # the climb: +1 a step until the next claim, the upper level or the cap
+        climb = sampler.zero_run(rng.random(x.size))
+        end = cap - t
+        if upper is not None:
+            np.minimum(end, upper - x, out=end)
+        claim = climb < end
+        climb = np.minimum(climb, end, out=climb).astype(np.int64)
         if "visits" in tally:
-            tally["visits"] += disc * (x == fn.target_state)
-        t += 1
-        disc *= fn.v
-        x = x + 1 - sampler.draw(rng.random(idx.size))
-    if idx.size:
-        score(kind.at_cap, slice(None))
-    return values, int(idx.size)
+            # the free walk passes the target s steps on, s = 0 being the epoch itself
+            s = target - x
+            hit = np.flatnonzero((s >= 0) & (s <= climb) & (s < end))
+            tally["visits"][hit] += v ** (t[hit] + s[hit])
+        # temporaries are dropped as soon as they are read: the peak memory
+        # of a run is reached in this part of the loop
+        del end
+        x += climb
+        t += climb
+        del climb
+        if at_b:
+            # paid at b on each step of the climb after the one reaching it,
+            # the n steps t - n + 1, ..., t: a geometric sum of v^s
+            paid = x - b
+            np.maximum(paid, 0, out=paid)
+            if "div" in tally:
+                hit = np.flatnonzero(paid)
+                n = paid[hit]
+                amount = (n.astype(float) if log_v == 0.0
+                          else np.expm1(n * log_v) / math.expm1(log_v))
+                amount *= v ** (t[hit] - n + 1)
+                tally["div"][hit] += amount
+            if "paid" in tally:
+                tally["paid"] += paid
+            np.minimum(x, b, out=x)
+        if (hit := np.flatnonzero(claim)).size:
+            x[hit] += 1 - sampler.draw_positive(rng.random(hit.size))
+            claim_draws += hit.size
+        t += claim
+    return [np.concatenate(s) for s in scores], n_capped, path_steps, claim_draws
+
+
+def _simulate(dist, x0, policy, fns, n_paths, seed, horizon_cap, stream):
+    """Validate, run the kernel once for the functionals fns, and return
+    one estimate per functional."""
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
+    if horizon_cap is None:
+        horizon_cap = default_horizon_cap(fns[0].v)
+    if horizon_cap < 1:
+        raise DomainError("horizon_cap must be at least 1")
+    for fn in fns:
+        if not 0.0 < fn.v <= 1.0:
+            raise DomainError(f"discount factor {fn.v} outside (0, 1]")
+        for name, val in (("w", fn.w), ("z", fn.z)):
+            if not 0.0 < val <= 1.0:
+                raise DomainError(f"transform argument {name} = {val} outside (0, 1]")
+    kinds = tuple(_KINDS.get(fn.kind) for fn in fns)
+    for fn, kind in zip(fns, kinds):
+        if kind is None or kind.policy != policy.kind:
+            raise InvalidFunctional(
+                f"functional {fn.kind!r} not available under policy "
+                f"{policy.kind!r}"
+            )
+    if len({(fn.v, fn.level, fn.upper, fn.target_state) for fn in fns}) > 1:
+        raise InvalidFunctional("grouped functionals must share v, level, upper and target")
+    values, capped, steps, claims = _run(_ClaimSampler(dist), x0, fns, kinds, n_paths,
+                                         _rng(seed, stream), horizon_cap, policy.b)
+    return [_estimate(vals, seed, horizon_cap, capped, steps, claims) for vals in values]
 
 
 def simulate(
@@ -313,26 +438,7 @@ def simulate(
     the same seed. When horizon_cap is omitted it is derived from the
     discount factor (v < 1 only; undiscounted runs must cap explicitly).
     """
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    if horizon_cap is None:
-        horizon_cap = default_horizon_cap(functional.v)
-    if horizon_cap < 1:
-        raise DomainError("horizon_cap must be at least 1")
-    if not 0.0 < functional.v <= 1.0:
-        raise DomainError(f"discount factor {functional.v} outside (0, 1]")
-    for name, val in (("w", functional.w), ("z", functional.z)):
-        if not 0.0 < val <= 1.0:
-            raise DomainError(f"transform argument {name} = {val} outside (0, 1]")
-    kind = _KINDS.get(functional.kind)
-    if kind is None or kind.policy != policy.kind:
-        raise InvalidFunctional(
-            f"functional {functional.kind!r} not available under policy "
-            f"{policy.kind!r}"
-        )
-    values, capped = _run(_ClaimSampler(dist), x0, functional, kind, n_paths,
-                          _rng(seed, stream), horizon_cap, policy.b)
-    return _estimate(values, seed, horizon_cap, capped)
+    return _simulate(dist, x0, policy, (functional,), n_paths, seed, horizon_cap, stream)[0]
 
 
 def dividend_count_samples(
@@ -437,6 +543,26 @@ def _sim(dist, x0, policy, kind, cap=None, **spec):
     return lambda seed, n, stream: simulate(dist, x0, policy, fn, n, seed, cap, stream)
 
 
+def _sim_group(dist, x0, policy, *specs):
+    """Registry estimates of the functionals kind(**spec), one per (kind,
+    spec), scored from one pass at the default horizon. Member i runs on
+    the stream it is given minus i, so the pass runs on the group's first
+    stream, once per (seed, n_paths, stream) of this group."""
+    fns = tuple(FunctionalSpec(kind, **spec) for kind, spec in specs)
+    cap = default_horizon_cap(fns[0].v)
+    passes = {}
+
+    def member(offset):
+        def estimate(seed, n, stream):
+            key = (seed, n, stream - offset)
+            if key not in passes:
+                passes[key] = _simulate(dist, x0, policy, fns, n, seed, cap, key[2])
+            return passes[key][offset]
+        return estimate
+
+    return [member(i) for i in range(len(fns))]
+
+
 def default_registry() -> list[RegistryEntry]:
     """The cross-check catalogue backing mc-verify and the acceptance
     suite: one entry per passage or dividend functional, each with an
@@ -452,6 +578,9 @@ def default_registry() -> list[RegistryEntry]:
     up2, up3, up5 = (PolicySpec("reflect_upper", b) for b in (2, 3, 5))
     doubly = PolicySpec("doubly_reflected", 4)
     v2, v9 = golden.THREE_POINT_V, golden.TWO_POINT_V
+    doubly_div, doubly_bail, doubly_val = _sim_group(
+        four, 2, doubly, ("doubly_dividends", {"v": 0.8}), ("doubly_bailouts", {"v": 0.8}),
+        ("doubly_value", {"v": 0.8, "k": 1.2}))
 
     def tab(dist, v, x_max=20):
         return w_table(DiscountedModel(dist, v), x_max)
@@ -510,18 +639,16 @@ def default_registry() -> list[RegistryEntry]:
         ("bailout_value_reflected:four_point,b=5,x=2",
          lambda: dv.bailout_value_reflected(tab(four, 0.999), 5, 2),
          _sim(four, 2, up5, "bailout_pv", v=0.999)),
-        ("doubly_dividends:four_point,b=4,x=2",
-         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[0],
-         _sim(four, 2, doubly, "doubly_dividends", v=0.8)),
-        ("doubly_bailouts:four_point,b=4,x=2",
-         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[1],
-         _sim(four, 2, doubly, "doubly_bailouts", v=0.8)),
         ("modified_value:four_point,b=5,x=2,k=1.2",
          lambda: dv.modified_definetti_value(tab(four, 0.9), 5, 2, 1.2),
          _sim(four, 2, up5, "modified_value", v=0.9, k=1.2)),
+        # one pass scores the doubly-reflected triple
+        ("doubly_dividends:four_point,b=4,x=2",
+         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[0], doubly_div),
+        ("doubly_bailouts:four_point,b=4,x=2",
+         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[1], doubly_bail),
         ("doubly_value:four_point,b=4,x=2,k=1.2",
-         lambda: dv.doubly_reflected_value(tab(four, 0.8), 4, 2, 1.2),
-         _sim(four, 2, doubly, "doubly_value", v=0.8, k=1.2)),
+         lambda: dv.doubly_reflected_value(tab(four, 0.8), 4, 2, 1.2), doubly_val),
     ]
     return [RegistryEntry(*row) for row in rows]
 

@@ -86,10 +86,19 @@ class ClaimDistribution:
     def __post_init__(self) -> None:
         if self.kind not in (TABLE, MODIFIED_GEOMETRIC):
             raise WrongKind(f"unknown distribution type {self.kind!r}")
+        if not self.pmf:
+            raise NotADistribution("empty probability table")
+        # validate checks these exactly; a table built directly is checked here
+        if not all(math.isfinite(p) and p <= 1.0 for p in self.pmf):
+            raise NotADistribution(f"probabilities {self.pmf} not all finite and at most 1")
         # catches a positive p_0 that rounds to zero as a float
         if not self.pmf[0] > 0.0:
             raise NonPositiveP0(f"p_0 = {self.pmf[0]} must be positive")
         if self.kind == TABLE:
+            if any(p < 0.0 for p in self.pmf[1:]):
+                raise NotADistribution("negative probability entry")
+            if abs(math.fsum(self.pmf) - 1.0) > _SUM_TOL:
+                raise NotADistribution(f"probabilities sum to {math.fsum(self.pmf)}, not 1")
             return
         # modified_geometric checks these exactly; a law built directly is checked here
         if len(self.pmf) != 2:

@@ -65,26 +65,26 @@ SEED, N_PATHS = 42, 2000
 
 # (mean, std_error, capped_fraction) at SEED and N_PATHS
 REGISTRY_PINS = {
-    'passage_up:three_point,v=0.9,b=3': (0.550821500352675, 0.0041307218584712, 0.0),
-    'two_sided_up:three_point,x=2,N=6': (0.3983634744325618, 0.004391324432635587, 0.0),
-    'deficit_gf:three_point,x=1,b=5,w=0.7': (0.11223428527355316, 0.00494831760099876, 0.0),
-    'expected_deficit:four_point,x=0,b=5': (-1.5247512333458777, 0.04131168278914838, 0.0),
-    'discounted_ruin:heavy,x=2': (0.5726756105393096, 0.005195002386326658, 0.0),
-    'eventual_ruin:three_point,x=0': (0.3435, 0.010621218392447734, 0.0),
-    'discounted_ruin_gf:heavy,x=2,w=0.6': (0.21759827808173407, 0.0026596334734832277, 0.0),
-    'finite_time_ruin:three_point,x=1,n=12': (0.2215, 0.009287734169484044, 0.7785),
-    'killed_resolvent:two_point,i=1,j=2,N=4': (0.9399044465630447, 0.008469299863604413, 0.0),
-    'w_at_downcrossing:two_point,x=2,b=1,N=4': (0.07743765261734924, 0.005866975144388062, 0.0),
-    'definetti_value:two_point,b=2,x=2': (7.026428828295631, 0.04471035494911329, 0.09),
-    'injections_mgf:four_point,x=0,b=4,w=0.5': (0.5251424094442338, 0.010488753844250923, 0.0),
-    'joint_dividends_deficit:two_point,b=2,x=1,w=0.7,z=0.9': (0.07428716388559403, 0.004091953104157264, 0.072),
-    'reflected_ruin_gf:four_point,b=3,x=0,w=0.4': (0.0845369368413426, 0.0025989132979816294, 0.0),
+    'passage_up:three_point,v=0.9,b=3': (0.5477161161940862, 0.004192229838224933, 0.0),
+    'two_sided_up:three_point,x=2,N=6': (0.40822514279063804, 0.0043403835678718075, 0.0),
+    'deficit_gf:three_point,x=1,b=5,w=0.7': (0.10124941295129829, 0.004769796396227405, 0.0),
+    'expected_deficit:four_point,x=0,b=5': (-1.5386858828124772, 0.04141151517949965, 0.0),
+    'discounted_ruin:heavy,x=2': (0.579631610645044, 0.005174085164019638, 0.0),
+    'eventual_ruin:three_point,x=0': (0.3385, 0.010583708350158778, 0.0),
+    'discounted_ruin_gf:heavy,x=2,w=0.6': (0.21635648140330152, 0.002636317515691438, 0.0),
+    'finite_time_ruin:three_point,x=1,n=12': (0.206, 0.00904560177410701, 0.794),
+    'killed_resolvent:two_point,i=1,j=2,N=4': (0.9277662628041066, 0.008110054991815233, 0.0),
+    'w_at_downcrossing:two_point,x=2,b=1,N=4': (0.07368896571198359, 0.005740286959161061, 0.0),
+    'definetti_value:two_point,b=2,x=2': (7.046871052514787, 0.04364241580805845, 0.0805),
+    'injections_mgf:four_point,x=0,b=4,w=0.5': (0.5481334140288188, 0.01042078857528777, 0.0),
+    'joint_dividends_deficit:two_point,b=2,x=1,w=0.7,z=0.9': (0.06941221617339367, 0.003901997004481378, 0.0785),
+    'reflected_ruin_gf:four_point,b=3,x=0,w=0.4': (0.08404495893582503, 0.002570678882540196, 0.0),
     'dividends_law_mean:two_point,b=2': (6.9245, 0.16254417916397387, 0.0),
-    'bailout_value_reflected:four_point,b=5,x=2': (1.8676135655311714, 0.02617803316863946, 0.0),
-    'doubly_dividends:four_point,b=4,x=2': (1.0003317445456728, 0.01565121370287963, 1.0),
-    'doubly_bailouts:four_point,b=4,x=2': (1.4233613197032493, 0.03947953896935682, 1.0),
-    'modified_value:four_point,b=5,x=2,k=1.2': (0.02407575586313216, 0.06081813911510347, 0.0),
-    'doubly_value:four_point,b=4,x=2,k=1.2': (-0.7232171008771259, 0.059088316359969396, 1.0),
+    'bailout_value_reflected:four_point,b=5,x=2': (1.804295153989217, 0.02537998986781308, 0.0),
+    'modified_value:four_point,b=5,x=2,k=1.2': (0.1294286875280343, 0.06113363701121384, 0.0),
+    'doubly_dividends:four_point,b=4,x=2': (1.002014362959724, 0.015963570715809373, 1.0),
+    'doubly_bailouts:four_point,b=4,x=2': (1.4380385333569872, 0.0390684852964897, 1.0),
+    'doubly_value:four_point,b=4,x=2,k=1.2': (-0.7236318770686604, 0.058021469457043055, 1.0),
 }
 OUT_OF_BAND_PINS = {
     'passage_up:x0=level': (1.0, 0.0, 0.0),
@@ -99,23 +99,23 @@ OUT_OF_BAND_PINS = {
     'downcross_w:x0<0': (0.0, 0.0, 0.0),
     'injection_mgf:x0>target': (1.0, 0.0, 0.0),
     'injection_mgf:x0=target': (1.0, 0.0, 0.0),
-    'injection_mgf:x0<0': (0.08151486354628697, 0.0016284451118057156, 0.0),
+    'injection_mgf:x0<0': (0.0814082736308498, 0.0016395426777263632, 0.0),
     'dividends_pv:x0<0': (0.0, 0.0, 0.0),
-    'dividends_pv:x0>b': (6.236877063559289, 0.048766199133094816, 0.0),
+    'dividends_pv:x0>b': (6.266625565308471, 0.04951112738343487, 0.0),
     'joint_deficit_dividends:x0<0': (0.49000000000000005, 2.4831550196201783e-18, 0.0),
-    'joint_deficit_dividends:x0>b': (0.08477820807923882, 0.0015894761757536228, 0.0),
+    'joint_deficit_dividends:x0>b': (0.08452324238069946, 0.001631543529858425, 0.0),
     'ruin_prob:x0<0': (1.0, 0.0, 0.0),
     'ruin_prob:x0>b': (1.0, 0.0, 0.0),
     'bailout_pv:x0<0': (2.0, 0.0, 0.0),
-    'bailout_pv:x0>b': (1.4553516478639728, 0.01886001609948263, 0.0),
+    'bailout_pv:x0>b': (1.428286215677792, 0.01914726756050689, 0.0),
     'modified_value:x0<0': (-2.399999999999999, 1.9865240156961426e-17, 0.0),
-    'modified_value:x0>b': (4.490455086122521, 0.06979590945826455, 0.0),
-    'doubly_dividends:x0<0': (0.5472543390028698, 0.009435368424127608, 1.0),
-    'doubly_dividends:x0>b': (5.128082648873402, 0.023429112977469878, 1.0),
-    'doubly_bailouts:x0<0': (3.830975453306438, 0.04728232500705811, 1.0),
-    'doubly_bailouts:x0>b': (1.0985961548820165, 0.02909830061772584, 1.0),
-    'doubly_value:x0<0': (-4.049916204964856, 0.061487314854326534, 1.0),
-    'doubly_value:x0>b': (3.8097672630149826, 0.05290035311854031, 1.0),
+    'modified_value:x0>b': (4.552682106495122, 0.0708878068752789, 0.0),
+    'doubly_dividends:x0<0': (0.5374274335092346, 0.009110553414930877, 1.0),
+    'doubly_dividends:x0>b': (5.1247209673286065, 0.023212069742370143, 1.0),
+    'doubly_bailouts:x0<0': (3.848897597752779, 0.049420731162076695, 1.0),
+    'doubly_bailouts:x0>b': (1.1174848599996912, 0.030333078565587056, 1.0),
+    'doubly_value:x0<0': (-4.081249683794101, 0.06367549829345025, 1.0),
+    'doubly_value:x0>b': (3.783739135328977, 0.05460018615678987, 1.0),
 }
 
 

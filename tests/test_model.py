@@ -147,6 +147,15 @@ def test_modified_geometric_rejects_bad_parameters():
     (dict(kind="modified_geometric", pmf=(0.0, 0.1), alpha=0.3), NonPositiveP0),
     (dict(kind="tabel", pmf=(0.5, 0.5)), WrongKind),
     (dict(kind=["table"], pmf=(1.0,)), WrongKind),
+    (dict(kind="table", pmf=(0.5, 0.7)), NotADistribution),
+    (dict(kind="table", pmf=(0.5, -0.2, 0.7)), NotADistribution),
+    (dict(kind="table", pmf=()), NotADistribution),
+    (dict(kind="table", pmf=(0.5, float("nan"), 0.5)), NotADistribution),
+    (dict(kind="table", pmf=(0.5, float("inf"))), NotADistribution),
+    (dict(kind="table", pmf=(1.5,)), NotADistribution),
+    (dict(kind="table", pmf=(0.5, 0.5 + 1e-11)), NotADistribution),
+    (dict(kind="table", pmf=(0.0, 1.0)), NonPositiveP0),
+    (dict(kind="modified_geometric", pmf=()), NotADistribution),
 ])
 def test_direct_construction_keeps_the_error_contract(kwargs, error):
     with pytest.raises(error):
@@ -159,6 +168,8 @@ def test_direct_construction_of_valid_laws():
     # p0 + p1 that rounds to 1 leaves an empty tail, not an error
     assert ClaimDistribution(kind="modified_geometric", pmf=(0.5, 0.5), alpha=0.3).mean == 0.5
     assert ClaimDistribution(kind="table", pmf=(0.5, 0.5)) == validate(["1/2", "1/2"])
+    # a sum within the tolerance of validate still builds
+    assert ClaimDistribution(kind="table", pmf=(0.5, 0.5 + 1e-13)).max_claim == 1
 
 
 def test_json_round_trip(three_point, modgeom):
