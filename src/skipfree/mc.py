@@ -29,8 +29,9 @@ share the policy, band, law, start, v and cap can be scored from one
 pass; the registry runs its three doubly-reflected rows that way.
 
 Geometric killing at rate 1 - v is applied analytically (each period
-contributes a factor v) except where the killed dividend count itself
-is the object of interest, in which case the horizon is sampled.
+contributes a factor v), except for the killed dividend count, whose law
+is itself the target. There each path's killing time is sampled and
+becomes that path's horizon cap in the same kernel.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ class FunctionalSpec:
 class MCEstimate:
     """A Monte Carlo mean with its counters: path_steps is the time steps
     the paths covered, summed over paths, and claim_draws the claim
-    epochs drawn (both 0 for an estimate not made by the path kernel)."""
+    epochs drawn. Both read 0 on the mean of dividend_count_samples,
+    which runs the same kernel, with a horizon per path, but returns
+    only the counts."""
 
     mean: float
     std_error: float
@@ -120,18 +123,12 @@ class _ClaimSampler:
         # 0 for the one-atom law, whose runs of zero claims never end
         self.log_p0 = math.log(dist.p0)
         if dist.kind == "table":
-            cdf = np.cumsum(dist.pmf)
-            cdf[-1] = 1.0
-            self.cdf = cdf
             if dist.p0 < 1.0:
                 # the law conditioned on a claim >= 1
                 tail = np.cumsum(dist.pmf[1:]) / (1.0 - dist.p0)
                 tail[-1] = 1.0
                 self.tail_cdf = tail
         else:
-            self.p0 = dist.p0
-            self.p1 = dist.p1
-            self.q = 1.0 - dist.p0 - dist.p1
             self.alpha = dist.alpha
             # P(C = 1 | C >= 1); the one-atom law never draws a claim
             self.tail_p1 = dist.p1 / (1.0 - dist.p0) if dist.p0 < 1.0 else 1.0
@@ -156,23 +153,6 @@ class _ClaimSampler:
         else:
             u2 = (u[rest] - self.tail_p1) / (1.0 - self.tail_p1)
             out[rest] = 2 + np.floor(np.log1p(-u2) / math.log(self.alpha)).astype(np.int64)
-        return out
-
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        if self.dist.kind == "table":
-            return np.searchsorted(self.cdf, u, side="right").astype(np.int64)
-        out = np.empty(u.shape, dtype=np.int64)
-        m0 = u < self.p0
-        m1 = ~m0 & (u < self.p0 + self.p1)
-        rest = ~(m0 | m1)
-        out[m0] = 0
-        out[m1] = 1
-        if self.alpha == 0.0:
-            out[rest] = 2
-        else:
-            u2 = (u[rest] - self.p0 - self.p1) / self.q
-            geo = np.floor(np.log1p(-u2) / math.log(self.alpha))
-            out[rest] = 2 + geo.astype(np.int64)
         return out
 
 
@@ -246,7 +226,7 @@ def _tally(name):
 
 
 _DISC, _ONE = (lambda fn, disc, x, t: disc), (lambda fn, disc, x, t: 1.0)
-_DIV, _BAIL, _VISITS = _tally("div"), _tally("bail"), _tally("visits")
+_DIV, _BAIL, _VISITS, _PAID = _tally("div"), _tally("bail"), _tally("visits"), _tally("paid")
 _INT_TALLIES = ("paid", "inj")  # counts; the other tallies are discounted sums
 
 _KINDS = {
@@ -284,13 +264,16 @@ _KINDS = {
     "doubly_value": _Kind("doubly_reflected", (), _UNBOUNDED, ("div", "bail"),
                           at_cap=lambda fn, disc, x, t: t["div"] - fn.k * t["bail"]),
 }
+# dividend_count_samples: the dividends paid, counted to ruin or to the cap
+_COUNT = _Kind("reflect_upper", (), _RUIN_ONLY, ("paid",), below=_PAID, at_cap=_PAID)
 
 
 def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
     """The event kernel: each kind's value on every path (in the order
-    the paths stop), the number of paths still running at the cap, the
+    the paths stop), the number of paths still running at their cap, the
     time steps they covered and the claim epochs drawn. The kinds share
-    policy and band, and fns[0] carries the v and target_state they share."""
+    policy and band, and fns[0] carries the v and target_state they share.
+    cap is one horizon for every path or an int64 array of one per path."""
     for fn, kind in zip(fns, kinds):
         for name in kind.needs:
             if getattr(fn, name) is None:
@@ -302,9 +285,14 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
     log_v = math.log(v)
     names = {name for kind in kinds for name in kind.tallies}
     scores = [[] for _ in kinds]
-    x = np.full(n_paths, x0, dtype=np.int64)
+    # the start is paid at b with discount 1; no kind reflected at b has an
+    # upper level, and a start above b >= 0 is neither reflected at 0 nor ruined
+    excess = max(x0 - b, 0) if at_b else 0
+    x = np.full(n_paths, x0 - excess, dtype=np.int64)
     t = np.zeros(n_paths, dtype=np.int64)
-    tally = {name: np.zeros(n_paths, dtype=np.int64 if name in _INT_TALLIES else float)
+    cap = np.broadcast_to(np.asarray(cap, dtype=np.int64), (n_paths,))
+    tally = {name: np.full(n_paths, excess if name in ("div", "paid") else 0,
+                           dtype=np.int64 if name in _INT_TALLIES else float)
              for name in names}
     n_capped = path_steps = claim_draws = 0
 
@@ -316,7 +304,6 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
             out.append(np.zeros(hit.size) if fun is None
                        else np.broadcast_to(fun(fn, disc, x[hit], sub), hit.shape))
 
-    first = True
     while x.size:
         # the events of each path's epoch: the start, a claim or the cap
         if at_0 and (hit := np.flatnonzero(x < 0)).size:
@@ -332,15 +319,6 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
             if level is not None and (hit := np.flatnonzero(cross(x, level))).size:
                 score(which, hit)
                 stopped[hit] = True
-        if at_b and first:
-            # a claim epoch never lands above b, so only the start pays here
-            excess = np.maximum(x - b, 0)
-            if "div" in tally:
-                tally["div"] += excess
-            if "paid" in tally:
-                tally["paid"] += excess
-            np.minimum(x, b, out=x)
-        first = False
         if (hit := np.flatnonzero((t >= cap) & ~stopped)).size:
             score("at_cap", hit)
             n_capped += hit.size
@@ -348,7 +326,7 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
         if stopped.any():
             path_steps += int(t[stopped].sum())
             keep = np.flatnonzero(~stopped)
-            x, t = x[keep], t[keep]
+            x, t, cap = x[keep], t[keep], cap[keep]
             tally = {k: a[keep] for k, a in tally.items()}
             if not x.size:
                 break
@@ -450,33 +428,20 @@ def dividend_count_samples(
 
     This is the one estimator where killing is sampled rather than
     folded into a discount, because the killed count's law itself is
-    the target.
+    the target. The killing time E is drawn per path, and the path kernel
+    runs each path undiscounted to ruin or to its own horizon E - 1, the
+    last epoch whose dividend is paid before the kill.
     """
     if not 0.0 < v < 1.0:
         raise DomainError("killed dividend counts need 0 < v < 1")
     if b < 0 or x0 < 0:
         raise DomainError("barrier and start must be nonnegative")
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
     rng = _rng(seed, stream)
-    sampler = _ClaimSampler(dist)
     kill = rng.geometric(1.0 - v, size=n_paths)
-    counts = np.full(n_paths, max(x0 - b, 0), dtype=np.int64)
-    idx = np.arange(n_paths)
-    x = np.full(n_paths, min(x0, b), dtype=np.int64)
-    t = 0
-    while idx.size:
-        t += 1
-        live = kill[idx] > t  # the epoch-t dividend needs t <= E - 1
-        idx = idx[live]
-        x = x[live]
-        if not idx.size:
-            break
-        x = x + 1 - sampler.draw(rng.random(idx.size))
-        alive = x >= 0
-        idx = idx[alive]
-        x = x[alive]
-        paid = x > b
-        counts[idx[paid]] += 1
-        np.minimum(x, b, out=x)
+    (counts,), *_ = _run(_ClaimSampler(dist), x0, (FunctionalSpec("dividend_count"),),
+                         (_COUNT,), n_paths, rng, kill - 1, b)
     return counts
 
 

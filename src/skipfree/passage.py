@@ -269,14 +269,10 @@ def _stopped_dp(table: ScaleTable, x: int, n: int, w: float | None):
     disc = 1.0
     for _ in range(n):
         disc *= v
-        new = np.zeros(levels)
-        for i in np.flatnonzero(q):
-            mi = q[i]
-            top = i + 1
-            new[top::-1] += mi * p[: top + 1]
-            if tails is not None:
-                absorbed += disc * mi * tails[i]
-        q = new
+        if tails is not None:
+            absorbed += disc * (q @ tails)
+        # the mass at i moves to i + 1 - k with probability p_k
+        q = np.convolve(q, p[::-1])[len(p) - 2: len(p) - 2 + levels]
     return q, absorbed, disc
 
 

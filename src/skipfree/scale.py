@@ -25,6 +25,10 @@ _DH_TARGET = 1e-12
 
 _LD = np.longdouble  # 80-bit on x86-64 Linux
 _BLOCK = 32  # levels the recursions solve at a time, in _LD
+# Z(., w) columns a table keeps. A barrier sweep asks one table for 3 fixed
+# w plus 1 fresh w per pass, and the Dickson-Hipp golden check for 3, so 8
+# keeps every w in repeated use while fresh ones age out.
+_ZW_KEPT = 8
 
 
 def _coefficients(dist, tilt: float = 1.0) -> tuple:
@@ -322,13 +326,17 @@ class ScaleTable:
         return float(self._increments(self._z1_values, b, b)[0])
 
     def zw_array(self, w: float) -> np.ndarray:
-        """Z(0..x_max, w), computed once per transform argument."""
+        """Z(0..x_max, w), kept for the most recently used transform arguments."""
         self._no_rescale("Z(., w)")
         key = float(w)
-        if key not in self._zw:
-            self._zw[key] = (self._z_values() if key == 1.0
-                             else z_table_w(self.model, key, self.x_max))
-        return self._zw[key]
+        col = self._zw.pop(key, None)
+        if col is None:
+            col = (self._z_values() if key == 1.0
+                   else z_table_w(self.model, key, self.x_max))
+            if len(self._zw) >= _ZW_KEPT:
+                del self._zw[next(iter(self._zw))]  # the least recently used
+        self._zw[key] = col
+        return col
 
     def z_at(self, x: int, w: float) -> float:
         if x < 0:

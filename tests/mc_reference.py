@@ -1,18 +1,53 @@
-"""The stepping kernel the event-driven kernel of skipfree.mc replaced,
-kept as a test-only reference.
+"""The stepping kernels the event-driven kernel of skipfree.mc replaced,
+kept as test-only references.
 
-Every path draws one claim per time step, and all paths share the clock,
-so the discount is a scalar v^t. The concordance tests run it and the
-event kernel on the same cases and compare the two estimates.
+Every path draws one claim per time step from the full law, and all
+paths share the clock, so the discount is a scalar v^t. The concordance
+tests run these and the event kernel on the same cases and compare the
+two estimates.
 """
+
+import math
 
 import numpy as np
 
-from skipfree.errors import InvalidFunctional
+from skipfree.errors import DomainError, InvalidFunctional
 from skipfree.mc import (
     _INT_TALLIES, _KINDS, _REFLECT_AT_0, _REFLECT_AT_B, _ClaimSampler, _estimate, _rng,
     default_horizon_cap,
 )
+
+
+class StepSampler(_ClaimSampler):
+    """The event kernel's sampler plus inverse-CDF draws from the full law."""
+
+    def __init__(self, dist):
+        super().__init__(dist)
+        if dist.kind == "table":
+            cdf = np.cumsum(dist.pmf)
+            cdf[-1] = 1.0
+            self.cdf = cdf
+        else:
+            self.p0 = dist.p0
+            self.p1 = dist.p1
+            self.q = 1.0 - dist.p0 - dist.p1
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        if self.dist.kind == "table":
+            return np.searchsorted(self.cdf, u, side="right").astype(np.int64)
+        out = np.empty(u.shape, dtype=np.int64)
+        m0 = u < self.p0
+        m1 = ~m0 & (u < self.p0 + self.p1)
+        rest = ~(m0 | m1)
+        out[m0] = 0
+        out[m1] = 1
+        if self.alpha == 0.0:
+            out[rest] = 2
+        else:
+            u2 = (u[rest] - self.p0 - self.p1) / self.q
+            geo = np.floor(np.log1p(-u2) / math.log(self.alpha))
+            out[rest] = 2 + geo.astype(np.int64)
+        return out
 
 
 def _run(sampler, x0, fn, kind, n_paths, rng, cap, b):
@@ -78,6 +113,36 @@ def _run(sampler, x0, fn, kind, n_paths, rng, cap, b):
 def simulate_stepping(dist, x0, policy, fn, n_paths, seed, horizon_cap=None, stream=0):
     """simulate() on the stepping kernel."""
     cap = default_horizon_cap(fn.v) if horizon_cap is None else horizon_cap
-    values, capped = _run(_ClaimSampler(dist), x0, fn, _KINDS[fn.kind], n_paths,
+    values, capped = _run(StepSampler(dist), x0, fn, _KINDS[fn.kind], n_paths,
                           _rng(seed, stream), cap, policy.b)
     return _estimate(values, seed, cap, capped)
+
+
+def dividend_count_samples_stepping(dist, b, v, x0, n_paths, seed, stream=0):
+    """dividend_count_samples() on the stepping kernel."""
+    if not 0.0 < v < 1.0:
+        raise DomainError("killed dividend counts need 0 < v < 1")
+    if b < 0 or x0 < 0:
+        raise DomainError("barrier and start must be nonnegative")
+    rng = _rng(seed, stream)
+    sampler = StepSampler(dist)
+    kill = rng.geometric(1.0 - v, size=n_paths)
+    counts = np.full(n_paths, max(x0 - b, 0), dtype=np.int64)
+    idx = np.arange(n_paths)
+    x = np.full(n_paths, min(x0, b), dtype=np.int64)
+    t = 0
+    while idx.size:
+        t += 1
+        live = kill[idx] > t  # the epoch-t dividend needs t <= E - 1
+        idx = idx[live]
+        x = x[live]
+        if not idx.size:
+            break
+        x = x + 1 - sampler.draw(rng.random(idx.size))
+        alive = x >= 0
+        idx = idx[alive]
+        x = x[alive]
+        paid = x > b
+        counts[idx[paid]] += 1
+        np.minimum(x, b, out=x)
+    return counts

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from mc_reference import StepSampler
 
 import skipfree
 from skipfree import (
@@ -28,7 +29,7 @@ from skipfree import (
     simulate,
 )
 from skipfree.golden import cached_table
-from skipfree.mc import _ClaimSampler, _rng, default_registry
+from skipfree.mc import _rng, default_registry
 
 
 def test_default_horizon_cap_rule():
@@ -63,6 +64,9 @@ def test_policy_and_functional_validation(three_point):
             three_point, 0, PolicySpec("free"),
             FunctionalSpec("ruin_indicator", v=1.0), 100, seed=1,
         )
+    for n_paths in (0, -1):
+        with pytest.raises(DomainError):
+            dividend_count_samples(three_point, 2, 0.9, 2, n_paths, seed=1)
 
 
 def test_simulate_is_deterministic(three_point):
@@ -91,7 +95,7 @@ def test_claim_sampler_frequencies(three_point, modgeom):
     rng = _rng(7, 0)
     u = rng.random(40000)
     for dist in (three_point, modgeom):
-        draws = _ClaimSampler(dist).draw(u)
+        draws = StepSampler(dist).draw(u)
         for k in range(4):
             freq = float(np.mean(draws == k))
             assert freq == pytest.approx(dist.p(k), abs=0.02)
@@ -104,7 +108,7 @@ def test_claim_sampler_alpha_zero_stops_at_two():
     from skipfree import modified_geometric
 
     d = modified_geometric(p0=0.5, p1=0.2, alpha=0.0)
-    draws = _ClaimSampler(d).draw(_rng(3, 0).random(20000))
+    draws = StepSampler(d).draw(_rng(3, 0).random(20000))
     assert draws.max() == 2
 
 

@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from mc_reference import simulate_stepping
+from mc_reference import dividend_count_samples_stepping, simulate_stepping
 from test_mc_pins import OUT_OF_BAND
 
-from skipfree import FunctionalSpec, PolicySpec, modified_geometric, simulate, validate
+from skipfree import (
+    FunctionalSpec, PolicySpec, dividend_count_samples, modified_geometric, simulate, validate,
+)
 from skipfree.errors import InvalidFunctional
 from skipfree.golden import four_point_model, three_point_model, two_point_model
 from skipfree.mc import _KINDS, _ClaimSampler, _rng, _run, default_registry
@@ -114,10 +116,15 @@ def _kernel(dist, x0, policy, specs, n_paths, seed, cap):
 ])
 def test_grouped_run_matches_single_runs_bit_for_bit(dist, x0, policy, specs, cap):
     values, *counters = _kernel(dist, x0, policy, specs, 3000, 5, cap)
-    for member, spec in zip(values, specs):
-        (single,), *single_counters = _kernel(dist, x0, policy, (spec,), 3000, 5, cap)
-        assert np.array_equal(member, single)
-        assert counters == single_counters
+    # one cap per path, all equal, runs the same paths
+    for caps in (cap, np.full(3000, cap)):
+        grouped, *grouped_counters = _kernel(dist, x0, policy, specs, 3000, 5, caps)
+        assert all(np.array_equal(a, b) for a, b in zip(grouped, values))
+        assert grouped_counters == counters
+        for member, spec in zip(values, specs):
+            (single,), *single_counters = _kernel(dist, x0, policy, (spec,), 3000, 5, caps)
+            assert np.array_equal(member, single)
+            assert single_counters == counters
 
 
 def test_registry_runs_the_doubly_triple_as_one_pass(monkeypatch):
@@ -183,3 +190,16 @@ def test_claim_sampler_conditions_on_a_claim(modgeom):
         runs = sampler.zero_run(u)
         assert float(runs.mean()) == pytest.approx(dist.p0 / (1.0 - dist.p0), rel=0.05)
     assert np.isinf(_ClaimSampler(ONE_ATOM).zero_run(u[:10])).all()
+
+
+@pytest.mark.parametrize("dist, b, v, x0", [
+    (TWO, 2, 65 / 72, 0), (TWO, 2, 65 / 72, 2), (TWO, 2, 65 / 72, 5),
+    (TWO, 0, 65 / 72, 0), (TWO, 0, 65 / 72, 2),
+    (MODGEOM, 2, 0.99, 1),
+])
+def test_killed_dividend_count_agrees_with_stepping_reference(dist, b, v, x0):
+    event = dividend_count_samples(dist, b, v, x0, N_PATHS, SEED)
+    stepped = dividend_count_samples_stepping(dist, b, v, x0, N_PATHS, SEED, stream=1)
+    assert event.dtype == stepped.dtype == np.int64
+    se = math.hypot(event.std(ddof=1), stepped.std(ddof=1)) / math.sqrt(N_PATHS)
+    assert abs(event.mean() - stepped.mean()) <= 4.0 * se, (event.mean(), stepped.mean())

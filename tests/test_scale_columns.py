@@ -20,6 +20,7 @@ from skipfree.dividends import (
     multiband_diagnostics,
     optimize_barrier,
 )
+from skipfree.scale import z_table_w
 
 
 def _bits(values):
@@ -121,3 +122,19 @@ def test_rescaled_scan_past_float_range_names_first_level(four_point):
         rt.w(1800)
     with pytest.raises(OverflowSignal):
         rt.w_array()
+
+
+def test_zw_columns_are_kept_for_the_recent_w(four_point):
+    # a sweep: the same three w on every pass, and one w no pass asked for before
+    model = DiscountedModel(four_point, 0.999)
+    table = w_table(model, 300)
+    fixed = (0.4, 0.7, 0.95)
+    first = {w: table.zw_array(w) for w in fixed}
+    for i in range(40):
+        w = 0.05 + i / 50
+        assert np.array_equal(table.zw_array(w), z_table_w(model, w, 300))
+        for f in fixed:
+            col = table.zw_array(f)
+            assert col is first[f]  # kept, not rebuilt
+            assert np.array_equal(col, z_table_w(model, f, 300))
+        assert len(table._zw) <= 8
