@@ -13,8 +13,8 @@ Each subcommand accepts only the flags it reads:
   embed      Levy chain tables: --model --xmax --gamma --step --q
 
 Exit codes: 0 on success, 1 when a golden check or MC concordance
-fails, 2 on configuration errors, unknown flags included (message on
-standard error, no partial output).
+fails (a NaN z or p fails too), 2 on configuration errors, unknown
+flags included (message on standard error, no partial output).
 """
 
 from __future__ import annotations
@@ -211,8 +211,8 @@ def cmd_mc_verify(args: argparse.Namespace) -> int:
         "low_power": args.npaths < 10**5,
     }
     print(json.dumps(report, indent=2))
-    bad = any(abs(row["z_score"]) > 4.0 for row in rows)
-    return 1 if bad or chi["p_value"] <= 0.01 else 0
+    ok = all(abs(row["z_score"]) <= 4.0 for row in rows) and chi["p_value"] > 0.01
+    return 0 if ok else 1
 
 
 def cmd_examples(args: argparse.Namespace) -> int:

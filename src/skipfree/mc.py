@@ -93,9 +93,9 @@ class FunctionalSpec:
 class MCEstimate:
     """A Monte Carlo mean with its counters: path_steps is the time steps
     the paths covered, summed over paths, and claim_draws the claim
-    epochs drawn. Both read 0 on the mean of dividend_count_samples,
-    which runs the same kernel, with a horizon per path, but returns
-    only the counts."""
+    epochs drawn. horizon_cap reads 0 on the mean of the killed dividend
+    count: each path has its own horizon, and capped_fraction is then the
+    share of paths killed before ruin."""
 
     mean: float
     std_error: float
@@ -161,7 +161,7 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _estimate(values: np.ndarray, seed: int, cap: int, n_capped: int,
-              path_steps: int = 0, claim_draws: int = 0) -> MCEstimate:
+              path_steps: int, claim_draws: int) -> MCEstimate:
     n = len(values)
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MCEstimate(
@@ -419,6 +419,21 @@ def simulate(
     return _simulate(dist, x0, policy, (functional,), n_paths, seed, horizon_cap, stream)[0]
 
 
+def _dividend_counts(dist, b, v, x0, n_paths, seed, stream):
+    """(counts, paths killed before ruin, time steps, claim epochs) of dividend_count_samples."""
+    if not 0.0 < v < 1.0:
+        raise DomainError("killed dividend counts need 0 < v < 1")
+    if b < 0 or x0 < 0:
+        raise DomainError("barrier and start must be nonnegative")
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
+    rng = _rng(seed, stream)
+    kill = rng.geometric(1.0 - v, size=n_paths)
+    (counts,), *counters = _run(_ClaimSampler(dist), x0, (FunctionalSpec("dividend_count"),),
+                                (_COUNT,), n_paths, rng, kill - 1, b)
+    return (counts, *counters)
+
+
 def dividend_count_samples(
     dist: ClaimDistribution, b: int, v: float, x0: int, n_paths: int, seed: int,
     stream: int = 0,
@@ -432,17 +447,7 @@ def dividend_count_samples(
     runs each path undiscounted to ruin or to its own horizon E - 1, the
     last epoch whose dividend is paid before the kill.
     """
-    if not 0.0 < v < 1.0:
-        raise DomainError("killed dividend counts need 0 < v < 1")
-    if b < 0 or x0 < 0:
-        raise DomainError("barrier and start must be nonnegative")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    rng = _rng(seed, stream)
-    kill = rng.geometric(1.0 - v, size=n_paths)
-    (counts,), *_ = _run(_ClaimSampler(dist), x0, (FunctionalSpec("dividend_count"),),
-                         (_COUNT,), n_paths, rng, kill - 1, b)
-    return counts
+    return _dividend_counts(dist, b, v, x0, n_paths, seed, stream)[0]
 
 
 def geometric_law_chisquare(
@@ -554,6 +559,10 @@ def default_registry() -> list[RegistryEntry]:
         theta = dv.dividends_law_at_barrier(tab(two, v9), 2)
         return (1.0 - theta) / theta
 
+    def dividends_law_estimate(seed, n, stream):
+        counts, *counters = _dividend_counts(two, 2, v9, 2, n, seed, stream)
+        return _estimate(counts.astype(float), seed, 0, *counters)
+
     # eventual ruin (v = 1) is truncated at a level where the residual
     # ruin probability is < 1e-12; finite-time ruin caps at its horizon
     rows = [
@@ -598,9 +607,7 @@ def default_registry() -> list[RegistryEntry]:
          lambda: dv.reflected_ruin_gf(tab(four, 0.999), 3, 0, 0.4),
          _sim(four, 0, up3, "joint_deficit_dividends", v=0.999, w=0.4, z=1.0)),
         ("dividends_law_mean:two_point,b=2", dividends_law_mean,
-         lambda seed, n, stream: _estimate(
-             dividend_count_samples(two, 2, v9, 2, n, seed, stream).astype(float),
-             seed, 0, 0)),
+         dividends_law_estimate),
         ("bailout_value_reflected:four_point,b=5,x=2",
          lambda: dv.bailout_value_reflected(tab(four, 0.999), 5, 2),
          _sim(four, 2, up5, "bailout_pv", v=0.999)),

@@ -115,7 +115,7 @@ def simulate_stepping(dist, x0, policy, fn, n_paths, seed, horizon_cap=None, str
     cap = default_horizon_cap(fn.v) if horizon_cap is None else horizon_cap
     values, capped = _run(StepSampler(dist), x0, fn, _KINDS[fn.kind], n_paths,
                           _rng(seed, stream), cap, policy.b)
-    return _estimate(values, seed, cap, capped)
+    return _estimate(values, seed, cap, capped, 0, 0)  # the stepping kernel keeps no counters
 
 
 def dividend_count_samples_stepping(dist, b, v, x0, n_paths, seed, stream=0):

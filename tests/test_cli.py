@@ -1,6 +1,7 @@
 """Command line interface, exercised in process through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import skipfree
 
+from skipfree import cli
 from skipfree.cli import main
 from skipfree.golden import GOLDEN_CHECKS
 
@@ -159,6 +161,19 @@ def test_mc_verify_small_run(capsys):
     assert payload["low_power"] is True
     assert len(payload["rows"]) == 20
     assert payload["chisquare"]["p_value"] > 1e-3
+
+
+@pytest.mark.parametrize("z, p", [(math.nan, 0.5), (0.0, math.nan)])
+def test_mc_verify_fails_on_a_nan_verdict(z, p, monkeypatch, capsys):
+    rows = [{"functional": "f", "z_score": 0.5}, {"functional": "g", "z_score": z}]
+    monkeypatch.setattr(cli, "run_registry", lambda seed, n_paths: rows)
+    monkeypatch.setattr(cli, "run_dividends_chisquare",
+                        lambda seed, n_paths: {"p_value": p})
+    rc = main(["mc-verify", "--npaths", "10", "--chi-npaths", "10"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert [row["functional"] for row in payload["rows"]] == ["f", "g"]
+    assert math.isnan(payload["rows"][1]["z_score"]) or math.isnan(payload["chisquare"]["p_value"])
 
 
 def test_overflowing_embed_under_warnings_as_errors(model_file):

@@ -79,7 +79,7 @@ REGISTRY_PINS = {
     'injections_mgf:four_point,x=0,b=4,w=0.5': (0.5481334140288188, 0.01042078857528777, 0.0),
     'joint_dividends_deficit:two_point,b=2,x=1,w=0.7,z=0.9': (0.06941221617339367, 0.003901997004481378, 0.0785),
     'reflected_ruin_gf:four_point,b=3,x=0,w=0.4': (0.08404495893582503, 0.002570678882540196, 0.0),
-    'dividends_law_mean:two_point,b=2': (6.92, 0.1613871832316796, 0.0),
+    'dividends_law_mean:two_point,b=2': (6.92, 0.1613871832316796, 0.932),
     'bailout_value_reflected:four_point,b=5,x=2': (1.804295153989217, 0.02537998986781308, 0.0),
     'modified_value:four_point,b=5,x=2,k=1.2': (0.1294286875280343, 0.06113363701121384, 0.0),
     'doubly_dividends:four_point,b=4,x=2': (1.002014362959724, 0.015963570715809373, 1.0),
