@@ -15,12 +15,16 @@ Each subcommand accepts only the flags it reads:
 Exit codes: 0 on success, 1 when a golden check or MC concordance
 fails (a NaN z or p fails too), 2 on configuration errors, unknown
 flags included (message on standard error, no partial output).
+
+mc-verify prints strict JSON: a number that is not finite (an infinite
+or NaN z, say) is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -202,16 +206,25 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_or_null(obj):
+    """obj with every float that is not finite replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(val) for val in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def cmd_mc_verify(args: argparse.Namespace) -> int:
     rows = run_registry(seed=args.seed, n_paths=args.npaths)
     chi = run_dividends_chisquare(seed=args.seed, n_paths=args.chi_npaths)
+    ok = all(abs(row["z_score"]) <= 4.0 for row in rows) and chi["p_value"] > 0.01
     report = {
         "rows": rows,
         "chisquare": chi,
         "low_power": args.npaths < 10**5,
     }
-    print(json.dumps(report, indent=2))
-    ok = all(abs(row["z_score"]) <= 4.0 for row in rows) and chi["p_value"] > 0.01
+    print(json.dumps(_finite_or_null(report), indent=2, allow_nan=False))
     return 0 if ok else 1
 
 

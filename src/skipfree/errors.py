@@ -30,10 +30,6 @@ class OutOfTable(SkipfreeError):
     """Requested index exceeds the precomputed table range."""
 
 
-class InfiniteMean(SkipfreeError):
-    """Operation requires a finite claim mean."""
-
-
 class NoConvergence(SkipfreeError):
     """An iterative or self-checked computation failed to stabilize."""
 

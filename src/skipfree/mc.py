@@ -122,16 +122,12 @@ class _ClaimSampler:
         self.dist = dist
         # 0 for the one-atom law, whose runs of zero claims never end
         self.log_p0 = math.log(dist.p0)
-        if dist.kind == "table":
-            if dist.p0 < 1.0:
-                # the law conditioned on a claim >= 1
-                tail = np.cumsum(dist.pmf[1:]) / (1.0 - dist.p0)
-                tail[-1] = 1.0
-                self.tail_cdf = tail
-        else:
-            self.alpha = dist.alpha
-            # P(C = 1 | C >= 1); the one-atom law never draws a claim
-            self.tail_p1 = dist.p1 / (1.0 - dist.p0) if dist.p0 < 1.0 else 1.0
+        self.alpha = dist.alpha
+        if dist.p0 < 1.0:
+            # the atoms conditioned on a claim >= 1; the geometric tail lies past them
+            self.tail_cdf = np.cumsum(dist.pmf[1:]) / (1.0 - dist.p0)
+            if not dist.tail_mass:
+                self.tail_cdf[-1] = 1.0
 
     def zero_run(self, u: np.ndarray) -> np.ndarray:
         """Number of zero claims before the next claim >= 1, as floats
@@ -143,16 +139,13 @@ class _ClaimSampler:
         return np.floor(run, out=run)
 
     def draw_positive(self, u: np.ndarray) -> np.ndarray:
-        """Claims drawn from the law conditioned on a claim >= 1."""
-        if self.dist.kind == "table":
-            return 1 + np.searchsorted(self.tail_cdf, u, side="right")
-        out = np.ones(u.shape, dtype=np.int64)
-        rest = u >= self.tail_p1
-        if self.alpha == 0.0:
-            out[rest] = 2
-        else:
-            u2 = (u[rest] - self.tail_p1) / (1.0 - self.tail_p1)
-            out[rest] = 2 + np.floor(np.log1p(-u2) / math.log(self.alpha)).astype(np.int64)
+        """Claims drawn from the law conditioned on a claim >= 1: an atom, or
+        past the atoms the tail's first claim plus a geometric offset."""
+        out = 1 + np.searchsorted(self.tail_cdf, u, side="right")
+        if self.alpha:
+            past, top = out > len(self.tail_cdf), self.tail_cdf[-1]
+            u2 = (u[past] - top) / (1.0 - top)
+            out[past] += np.floor(np.log1p(-u2) / math.log(self.alpha)).astype(np.int64)
         return out
 
 

@@ -71,12 +71,12 @@ def _to_fraction(value: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class ClaimDistribution:
-    """Distribution of a single claim, either a finite table or
-    a modified geometric law.
-
-    For kind "table", ``pmf`` holds (p_0, ..., p_K) with trailing zeros
-    removed. For kind "modified_geometric", ``pmf`` holds (p_0, p_1) and
-    p_k = (1 - p_0 - p_1) * (1 - alpha) * alpha ** (k - 2) for k >= 2.
+    """Distribution of a single claim: the atoms p_0, ..., p_K in ``pmf``, then
+    a geometric tail p_k = tail_mass * (1 - alpha) * alpha ** (k - len(pmf)) on
+    each k >= len(pmf). A "table" has tail_mass 0 and no trailing zero in ``pmf``;
+    a "modified_geometric" law has pmf (p_0, p_1), so its tail starts at claim 2
+    and holds tail_mass = 1 - p_0 - p_1. Each quantity below is the atoms' term
+    plus the tail's, which is exactly 0.0 for a table.
     """
 
     kind: str
@@ -126,69 +126,50 @@ class ClaimDistribution:
         return None
 
     @cached_property
+    def tail_mass(self) -> float:
+        """P(C >= len(pmf)), the mass of the geometric tail: 0.0 for a table,
+        1 - p_0 - p_1 for the modified geometric law, whose tail starts at
+        claim 2, right after the atoms (p_0, p_1)."""
+        return 0.0 if self.kind == TABLE else 1.0 - self.p0 - self.p1
+
+    @cached_property
     def mean(self) -> float:
-        if self.kind == TABLE:
-            exact = sum(k * Fraction(p) for k, p in enumerate(self.pmf))
-            return float(exact)
-        q = 1.0 - self.p0 - self.p1
-        return self.p1 + q * (2.0 - self.alpha) / (1.0 - self.alpha)
+        exact = sum(k * Fraction(p) for k, p in enumerate(self.pmf))
+        return float(exact) + self.tail_mass * (2.0 - self.alpha) / (1.0 - self.alpha)
 
     def p(self, k: int) -> float:
         """Probability of a claim of size k."""
         if k < 0:
             return 0.0
-        if self.kind == TABLE:
-            return self.pmf[k] if k < len(self.pmf) else 0.0
-        if k == 0:
-            return self.p0
-        if k == 1:
-            return self.p1
-        q = 1.0 - self.p0 - self.p1
-        return q * (1.0 - self.alpha) * self.alpha ** (k - 2)
+        if k < len(self.pmf):
+            return self.pmf[k]
+        return self.tail_mass * (1.0 - self.alpha) * self.alpha ** (k - len(self.pmf))
 
     def pmf_upto(self, n: int) -> np.ndarray:
         """Dense probability vector (p_0, ..., p_n)."""
-        if self.kind == TABLE:
-            out = np.zeros(n + 1)
-            m = min(n + 1, len(self.pmf))
-            out[:m] = self.pmf[:m]
-            return out
-        q = 1.0 - self.p0 - self.p1
-        out = np.empty(n + 1)
-        out[0] = self.p0
-        if n >= 1:
-            out[1] = self.p1
-        if n >= 2:
-            out[2:] = q * (1.0 - self.alpha) * self.alpha ** np.arange(n - 1)
+        out, m = np.empty(n + 1), min(n + 1, len(self.pmf))
+        out[:m] = self.pmf[:m]
+        out[m:] = self.tail_mass * (1.0 - self.alpha) * self.alpha ** np.arange(n + 1 - m)
         return out
 
     def tail(self, k: int) -> float:
         """P(C > k)."""
         if k < 0:
             return 1.0
-        if self.kind == TABLE:
-            return float(sum(self.pmf[k + 1:]))
-        if k == 0:
-            return 1.0 - self.p0
-        q = 1.0 - self.p0 - self.p1
-        return q * self.alpha ** (k - 1)
+        return sum(self.pmf[k + 1:]) + self.tail_mass * self.alpha ** max(k + 1 - len(self.pmf), 0)
 
     def pgf(self, z: float) -> float:
         """Probability generating function E[z^C] for z in (0, 1]."""
         self._check_z(z)
-        if self.kind == TABLE:
-            return _horner(self.pmf, z)
-        q = 1.0 - self.p0 - self.p1
-        return self.p0 + self.p1 * z + q * (1.0 - self.alpha) * z * z / (1.0 - self.alpha * z)
+        a = self.alpha
+        return _horner(self.pmf, z) + self.tail_mass * (1.0 - a) * z * z / (1.0 - a * z)
 
     def pgf_prime(self, z: float) -> float:
         """Derivative of the generating function on (0, 1]."""
         self._check_z(z)
-        if self.kind == TABLE:
-            return _horner([k * p for k, p in enumerate(self.pmf)][1:], z)
-        q = 1.0 - self.p0 - self.p1
-        den = 1.0 - self.alpha * z
-        return self.p1 + q * (1.0 - self.alpha) * z * (2.0 - self.alpha * z) / (den * den)
+        a, den = self.alpha, 1.0 - self.alpha * z
+        head = _horner([k * p for k, p in enumerate(self.pmf)][1:], z)
+        return head + self.tail_mass * (1.0 - a) * z * (2.0 - a * z) / (den * den)
 
     @staticmethod
     def _check_z(z: float) -> None:

@@ -160,10 +160,7 @@ def finite_time_ruin(dist: ClaimDistribution, n: int, x_max: int) -> RuinDP:
     if n < 0 or x_max < 0:
         raise DomainError("n and x_max must be nonnegative")
     top = x_max + n
-    if dist.kind == "table":
-        kernel = np.asarray(dist.pmf)
-    else:
-        kernel = dist.pmf_upto(top + 2)
+    kernel = dist.pmf_upto(top + 2 if dist.max_claim is None else dist.max_claim)
     tails = np.array([dist.tail(x + 1) for x in range(top + 1)])
     surv = np.empty((n + 1, x_max + 1))
     ruin = np.empty((n + 1, x_max + 1))

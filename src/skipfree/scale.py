@@ -32,13 +32,10 @@ _ZW_KEPT = 8
 
 
 def _coefficients(dist, tilt: float = 1.0) -> tuple:
-    """(c_0, (c_1..c_L), tail, ratio) for c_k = p_k * tilt^k; the modified
-    geometric law adds c_k = tail * ratio^(k-2) for k >= 2."""
-    if dist.kind == "table":
-        c = np.asarray(dist.pmf) * tilt ** np.arange(len(dist.pmf), dtype=float)
-        return float(c[0]), c[1:], 0.0, 0.0
-    q = 1.0 - dist.p0 - dist.p1
-    return (dist.p0, [dist.p1 * tilt], q * (1.0 - dist.alpha) * tilt * tilt,
+    """(c_0, (c_1..c_L), tail, ratio) for c_k = p_k * tilt^k over the atoms; a
+    geometric tail adds c_k = tail * ratio^(k-2) for k >= 2 (tail is 0 for a table)."""
+    c = np.asarray(dist.pmf) * tilt ** np.arange(len(dist.pmf), dtype=float)
+    return (float(c[0]), c[1:], dist.tail_mass * (1.0 - dist.alpha) * tilt * tilt,
             dist.alpha * tilt)
 
 
@@ -100,14 +97,12 @@ def _w_array_alt(model: DiscountedModel, x_max: int) -> np.ndarray:
     reaches back through a prefix sum, a band of L - 1 and a geometric sum."""
     v, dist, b = _LD(model.v), model.dist, min(_BLOCK, x_max + 1)
     p0, k = _LD(dist.p0), np.arange(1, b)
-    if dist.kind == "table":
-        c = (1 / v - np.cumsum(np.asarray(dist.pmf, dtype=_LD))) / p0
-        head, const, geo, ratio = c[1:-1], c[-1], _LD(0), _LD(0)
-        ck = c[np.minimum(k, len(c) - 1)]
-    else:  # c_k = const + geo * ratio^(k-1)
-        head, const = np.zeros(0, dtype=_LD), (1 / v - 1) / p0
-        geo, ratio = (1 - p0 - _LD(dist.p1)) / p0, _LD(dist.alpha)
-        ck = const + geo * ratio ** (k - 1).astype(_LD)
+    # P[C <= k] is the atoms' cdf plus the tail's tail_mass * (1 - ratio^(k-1)),
+    # so past the atoms c_k = const + geo * ratio^(k-1)
+    c = (1 / v - np.cumsum(np.asarray(dist.pmf, dtype=_LD))) / p0
+    geo, ratio = _LD(dist.tail_mass) / p0, _LD(dist.alpha)
+    head, const = c[1:-1], c[-1] - geo
+    ck = c[np.minimum(k, len(c) - 1)] + geo * (ratio ** (k - 1).astype(_LD) - 1)
     h, (e, far) = len(head), _block_maps(ck, head - const, b)
     powers = ratio ** np.arange(b).astype(_LD)
     y, out = np.zeros(h + x_max + 1 + b, dtype=_LD), np.full(x_max + 1, math.inf)
@@ -128,18 +123,16 @@ def _w_array_tilted(model: DiscountedModel, x_max: int) -> np.ndarray:
 
 
 def _z_tail_terms(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
-    """T(x, w) = sum_{j >= x+2} p_j w^{j-x-1} for x = 0..x_max-1."""
+    """T(x, w) = sum_{j >= x+2} p_j w^{j-x-1} for x = 0..x_max-1: a backward
+    Horner sum over the atoms, H(x) = p_{x+2} + H(x+1) w and T = w H, plus the
+    geometric tail's closed form."""
     dist = model.dist
-    if dist.kind == "table":
-        # backward Horner: H(x) = p_{x+2} + H(x+1) w and T(x, w) = w H(x)
-        p = dist.pmf
-        h = np.zeros(max(x_max, len(p)))
-        for x in range(len(p) - 3, -1, -1):
-            h[x] = p[x + 2] + h[x + 1] * w
-        return w * h[:x_max]
-    q = 1.0 - dist.p0 - dist.p1
-    a = dist.alpha
-    return q * (1.0 - a) * a ** np.arange(x_max, dtype=float) * w / (1.0 - a * w)
+    p, a = dist.pmf, dist.alpha
+    h = np.zeros(max(x_max, len(p)))
+    for x in range(len(p) - 3, -1, -1):
+        h[x] = p[x + 2] + h[x + 1] * w
+    tail = dist.tail_mass * (1.0 - a) * a ** np.arange(x_max, dtype=float) * w / (1.0 - a * w)
+    return w * h[:x_max] + tail
 
 
 def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:

@@ -170,10 +170,25 @@ def test_mc_verify_fails_on_a_nan_verdict(z, p, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_dividends_chisquare",
                         lambda seed, n_paths: {"p_value": p})
     rc = main(["mc-verify", "--npaths", "10", "--chi-npaths", "10"])
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert rc == 1
     assert [row["functional"] for row in payload["rows"]] == ["f", "g"]
-    assert math.isnan(payload["rows"][1]["z_score"]) or math.isnan(payload["chisquare"]["p_value"])
+    assert payload["rows"][1]["z_score"] == (None if math.isnan(z) else z)
+    assert payload["chisquare"]["p_value"] == (None if math.isnan(p) else p)
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_mc_verify_prints_strict_json_for_an_infinite_z(capsys):
+    # with 3 paths some rows have std_error 0 and a mean off the analytic value
+    rc = main(["mc-verify", "--npaths", "3", "--chi-npaths", "20000"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert rc == 1
+    nulls = [row["functional"] for row in payload["rows"] if row["z_score"] is None]
+    assert nulls and all(row["mc_se"] == 0.0 for row in payload["rows"]
+                         if row["functional"] in nulls)
 
 
 def test_overflowing_embed_under_warnings_as_errors(model_file):

@@ -4,12 +4,14 @@ Each case records (mean, std_error, capped_fraction) exactly, so any
 change to the draws, their order or the float operations on a path
 shows up here. The registry pins cover every entry at its own stream;
 the out-of-band pins start each policy outside its band, where the
-start itself is a reflection or an absorption at t = 0.
+start itself is a reflection or an absorption at t = 0; the modified
+geometric pins draw claims from a geometric tail, with alpha > 0, with
+alpha = 0 and with p_1 = 0.
 """
 
 import pytest
 
-from skipfree import FunctionalSpec, PolicySpec, simulate, validate
+from skipfree import FunctionalSpec, PolicySpec, modified_geometric, simulate, validate
 from skipfree.mc import default_registry
 
 THREE_POINT = validate(["2/3", "2/9", "0", "1/9"])
@@ -60,6 +62,15 @@ for _kind, _spec in _UPPER_SPECS.items():
 for _kind, _spec in _DOUBLY_SPECS.items():
     OUT_OF_BAND[f"{_kind}:x0<0"] = (FOUR_POINT, -2, DOUBLY, _spec, None)
     OUT_OF_BAND[f"{_kind}:x0>b"] = (FOUR_POINT, 7, DOUBLY, _spec, None)
+
+# label -> (dist, x0, policy, functional)
+MODGEOM = {}
+for _law, _dist in (("alpha>0", modified_geometric(0.6, 0.24, 0.4)),
+                    ("alpha=0", modified_geometric(0.5, 0.2, 0)),
+                    ("p1=0", modified_geometric(0.7, 0, 0.55))):
+    MODGEOM[f"{_law}:free"] = (_dist, 1, FREE, FunctionalSpec("deficit_gf", v=0.9, w=0.7, level=5))
+    MODGEOM[f"{_law}:reflect_upper"] = (
+        _dist, 2, UPPER, FunctionalSpec("modified_value", v=0.9, k=1.2))
 
 SEED, N_PATHS = 42, 2000
 
@@ -118,6 +129,15 @@ OUT_OF_BAND_PINS = {
     'doubly_value:x0>b': (3.783739135328977, 0.05460018615678987, 1.0),
 }
 
+MODGEOM_PINS = {
+    'alpha>0:free': (0.09387486607619772, 0.004144056742582062, 0.0),
+    'alpha>0:reflect_upper': (2.3340473749910573, 0.047335122166568516, 0.003),
+    'alpha=0:free': (0.12445443951073491, 0.004575957533578141, 0.0),
+    'alpha=0:reflect_upper': (1.6360648279578314, 0.032211116247116596, 0.0145),
+    'p1=0:free': (0.1996690369187001, 0.004995145684249759, 0.0),
+    'p1=0:reflect_upper': (0.6800571037711772, 0.05920760466658348, 0.0),
+}
+
 
 def _triple(est):
     return (est.mean, est.std_error, est.capped_fraction)
@@ -126,6 +146,7 @@ def _triple(est):
 def test_pins_cover_every_case():
     assert set(REGISTRY_PINS) == {e.name for e in default_registry()}
     assert set(OUT_OF_BAND_PINS) == set(OUT_OF_BAND)
+    assert set(MODGEOM_PINS) == set(MODGEOM)
 
 
 @pytest.mark.parametrize("stream", range(20))
@@ -139,3 +160,9 @@ def test_out_of_band_start_is_pinned(label):
     dist, x0, policy, spec, cap = OUT_OF_BAND[label]
     est = simulate(dist, x0, policy, spec, N_PATHS, SEED, cap)
     assert _triple(est) == OUT_OF_BAND_PINS[label]
+
+
+@pytest.mark.parametrize("label", sorted(MODGEOM))
+def test_modified_geometric_law_is_pinned(label):
+    dist, x0, policy, spec = MODGEOM[label]
+    assert _triple(simulate(dist, x0, policy, spec, N_PATHS, SEED)) == MODGEOM_PINS[label]

@@ -5,6 +5,8 @@ oracle: iterate the one-step expectation operator on a finite band
 until it converges, and compare against the scale-function formulas.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,17 @@ def test_finite_time_ruin_modified_geometric(modgeom):
     # horizon-1 row against the tail function
     for x in range(9):
         assert dp.ruin[1, x] == pytest.approx(modgeom.tail(x + 1), rel=1e-13, abs=1e-15)
+
+
+def test_finite_time_ruin_tables_are_pinned(three_point, two_point, four_point, modgeom):
+    # bit for bit; (3, 2) keeps x_max below the four-point law's largest claim
+    parts = []
+    for dist in (three_point, two_point, four_point, modgeom):
+        for n, x_max in ((12, 20), (40, 10), (3, 2)):
+            dp = finite_time_ruin(dist, n, x_max)
+            parts.append(hashlib.sha256(dp.ruin.tobytes() + dp.survival.tobytes()).hexdigest())
+    digest = hashlib.sha256("|".join(parts).encode()).hexdigest()
+    assert digest == "7fc7432257f796859a5159d83dbaade23c3bebca00bb482441e17f2f401842f8"
 
 
 def test_killed_resolvent_matches_linear_solve(three_point, three_tab_09):
