@@ -16,8 +16,9 @@ Exit codes: 0 on success, 1 when a golden check or MC concordance
 fails (a NaN z or p fails too), 2 on configuration errors, unknown
 flags included (message on standard error, no partial output).
 
-mc-verify prints strict JSON: a number that is not finite (an infinite
-or NaN z, say) is written as null.
+mc-verify and optimize print strict JSON: a number that is not finite
+(an infinite or NaN z, or the inf and nan influences of a scan past where
+dW is resolved) is written as null.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     k = 0.0 if args.k is None else args.k
     table = _table_for(args, max(args.xmax, args.bmax + 2, args.x + 1), args.rescaled)
     result = dv.optimize_barrier(table, objective, k, args.x, args.bmax)
-    print(json.dumps(result.to_jsonable(), indent=2))
+    print(json.dumps(_finite_or_null(result.to_jsonable()), indent=2, allow_nan=False))
     return 0
 
 

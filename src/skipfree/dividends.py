@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError
-from .scale import ScaleTable
+from .scale import ScaleTable, _divide
 
 
 @dataclass(frozen=True)
@@ -149,27 +149,40 @@ def bailout_value_reflected(table: ScaleTable, b: int, x: int) -> float:
         raise DomainError("barrier must be nonnegative")
     _check_not_degenerate(table)
     x = min(x, b)
-    with np.errstate(divide="ignore", invalid="ignore"):  # dW(b) = 0 at v = 1
-        return float(np.float64(table.w(x) * table.dz1(b)) / table.dw(b)) - table.z1(x)
+    return _divide(table.w(x) * table.dz1(b), table.dw(b)) - table.z1(x)  # dW(b) = 0 at v = 1
 
 
-def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) -> np.ndarray:
-    """H(b) of an objective on b = lo..hi. Where dW rounds to 0 as W saturates at
-    v = 1, though the exact difference is positive, H is +-inf (nan at 0 / 0)."""
+def _check_influence(objective: str, table: ScaleTable, k: float) -> None:
     if objective == "modified_definetti":
         if k < 0.0:
             raise DomainError("penalty factor k must be nonnegative")
         _check_not_degenerate(table)
     if objective == "doubly_reflected" and table.v >= 1.0:
         raise DomainError("doubly reflected influence needs v < 1")
+
+
+def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) -> np.ndarray:
+    """H(b) of an objective on b = lo..hi. Where dW rounds to 0 as W saturates at
+    v = 1, though the exact difference is positive, H is +-inf (nan at 0 / 0)."""
+    _check_influence(objective, table, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _SCAN[objective][0](table, k, lo, hi)
+        return _SCAN[objective][0](k, lambda name: getattr(table, "_" + name)(lo, hi))
+
+
+def _influence_at(objective: str, table: ScaleTable, k: float, b: int) -> float:
+    """H(b) of an objective at one b: its scan formula on the Python floats
+    of the scalar increments, or the scan itself where a difference is 0."""
+    _check_influence(objective, table, k)
+    try:  # a numpy k would make a zero division warn, not raise
+        return _SCAN[objective][0](float(k), lambda name: getattr(table, name)(b))
+    except ZeroDivisionError:
+        return float(_influence(objective, table, k, b, b)[0])
 
 
 def modified_definetti_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dW(b) of the dividends-minus-
     k-times-deficit objective; maximize over b."""
-    return float(_influence("modified_definetti", table, k, b, b)[0])
+    return _influence_at("modified_definetti", table, k, b)
 
 
 def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> float:
@@ -204,7 +217,7 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
 def doubly_reflected_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dZ(b) of dividends minus k times
     bailouts under double reflection; maximize over b."""
-    return float(_influence("doubly_reflected", table, k, b, b)[0])
+    return _influence_at("doubly_reflected", table, k, b)
 
 
 def doubly_reflected_influence_affine(table: ScaleTable, b: int, k: float) -> float:
@@ -247,22 +260,17 @@ def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
     return _strict_local_minima(table._dw(0, b_max))
 
 
-def _dz1(t: ScaleTable, lo: int, hi: int) -> np.ndarray:
-    return t._increments(t._z1_values, lo, hi)
-
-
-# objective -> (H(b) on b = lo..hi, one expression in the increments of W, Z
-# and Z1; value(table, b, x, k)); the values are called by module name, so
-# rebinding one here also reaches the scan
+# objective -> (H(b), one expression in the increments d("dw"), d("dz") and
+# d("dz1") of W, Z and Z1, which the scan evaluates on arrays and the
+# scalar influences on floats; value(table, b, x, k)); the values are
+# called by module name, so rebinding one here also reaches the scan
 _SCAN = {
-    "definetti": (lambda t, k, lo, hi: 1.0 / t._dw(lo, hi),
+    "definetti": (lambda k, d: 1.0 / d("dw"),
                   lambda t, b, x, k: definetti_value(t, b, x)),
-    "modified_definetti": (
-        lambda t, k, lo, hi: (1.0 - k * _dz1(t, lo, hi)) / t._dw(lo, hi),
-        lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
-    "doubly_reflected": (
-        lambda t, k, lo, hi: (1.0 - k * _dz1(t, lo, hi)) / t._increments(t._z_values, lo, hi),
-        lambda t, b, x, k: doubly_reflected_value(t, b, x, k)),
+    "modified_definetti": (lambda k, d: (1.0 - k * d("dz1")) / d("dw"),
+                           lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
+    "doubly_reflected": (lambda k, d: (1.0 - k * d("dz1")) / d("dz"),
+                         lambda t, b, x, k: doubly_reflected_value(t, b, x, k)),
 }
 OBJECTIVES = tuple(_SCAN)
 

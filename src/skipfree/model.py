@@ -220,7 +220,7 @@ def validate(values: Iterable[Rational]) -> ClaimDistribution:
 def modified_geometric(p0: Rational, p1: Rational, alpha: Rational) -> ClaimDistribution:
     """Claim law with atoms p0, p1 and a geometric tail with ratio alpha.
 
-    Requires p0 > 0, p1 >= 0, p0 + p1 < 1 and 0 <= alpha < 1. The mass
+    Requires p0 > 0, p1 >= 0, p0 + p1 < 1 - 1e-12 and 0 <= alpha < 1. The mass
     1 - p0 - p1 is spread over {2, 3, ...} proportionally to alpha^k.
     """
     f0, f1, fa = _to_fraction(p0), _to_fraction(p1), _to_fraction(alpha)
@@ -230,9 +230,11 @@ def modified_geometric(p0: Rational, p1: Rational, alpha: Rational) -> ClaimDist
         raise NotADistribution("p_1 must be nonnegative")
     if not 0 <= fa < 1:
         raise NotADistribution(f"alpha = {alpha} outside [0, 1)")
-    if f0 + f1 >= 1:
+    # a tail within the tolerance validate allows a table's sum is rounding,
+    # not mass: 0.7 + 0.3 as floats leaves 5.55e-17
+    if 1 - (f0 + f1) <= _SUM_TOL:
         raise NotADistribution(
-            "p0 + p1 must be strictly below 1; use a plain table otherwise"
+            f"p0 + p1 must be below 1 by more than {_SUM_TOL}; use a plain table otherwise"
         )
     return ClaimDistribution(
         kind=MODIFIED_GEOMETRIC,

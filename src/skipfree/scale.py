@@ -149,6 +149,34 @@ def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
                   _z_tail_terms(model, w, x_max))
 
 
+def _beyond(x: int, x_max: int) -> OutOfTable:
+    return OutOfTable(f"x = {x} beyond table range 0..{x_max}")
+
+
+def _not_integers(*levels) -> DomainError:
+    """The error of a column read that ndarray.item refused: it names the first
+    level that is not an integer, a float or a bool say."""
+    bad = next(x for x in levels if isinstance(x, bool) or not isinstance(x, (int, np.integer)))
+    return DomainError(f"level {bad!r} is not an integer")
+
+
+def _step(col: np.ndarray, b: int) -> float:
+    """col[b + 1] - col[b] in Python floats, b already range-checked."""
+    try:
+        return col.item(b + 1) - col.item(b)
+    except TypeError:
+        raise _not_integers(b) from None
+
+
+def _divide(num: float, den: float) -> float:
+    """num / den in Python floats; a zero den gives numpy's +-inf, or its nan at 0 / 0."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(num) / den)
+
+
 @dataclass
 class ScaleTable:
     """Precomputed scale columns for one model on 0..x_max.
@@ -158,6 +186,17 @@ class ScaleTable:
     With rescaled=True the tilted column W(x) * phi^x is built instead,
     which keeps ratios representable when W itself would overflow; the Z
     family is unavailable in that mode.
+
+    Scalar reads: w, w_ratio, w_over_dw, dw, z, dz, z1, dz1, z_at and
+    dzw check the range once, read their entries with ndarray.item and do
+    their arithmetic in Python floats, which round as numpy's float64
+    scalars do. A level that is not an integer (3.5, 2.0, True) makes the
+    read itself fail, and only then is it reported as DomainError; a level
+    below zero takes its boundary value and is not read. A
+    division by a difference that rounded to zero falls back to numpy,
+    so it gives numpy's inf or nan as the column scans do. z_at and dzw
+    read the most recently used Z(., w) column without reordering the
+    kept columns.
     """
 
     model: DiscountedModel
@@ -167,7 +206,13 @@ class ScaleTable:
     _z: np.ndarray | None = None
     _z1: np.ndarray | None = None
     _zw: dict[float, np.ndarray] = field(default_factory=dict)
+    # (w, Z(., w)) of the last zw_array call; a nan w equals no argument
+    _zw_recent: tuple = (math.nan, None)
     _wcol: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not self.rescaled:
+            self._wcol = self._w
 
     @property
     def v(self) -> float:
@@ -177,9 +222,12 @@ class ScaleTable:
     def phi(self) -> float:
         return self.model.phi_v
 
-    def _check_index(self, x: int) -> None:
-        if x > self.x_max:
-            raise OutOfTable(f"x = {x} beyond table range 0..{self.x_max}")
+    def _check_steps(self, lo: int, hi: int) -> None:
+        """Differences b = lo..hi lie in the table: 0 <= lo and hi + 1 <= x_max."""
+        if lo < 0:
+            raise DomainError("difference index must be nonnegative")
+        if hi >= self.x_max:
+            raise _beyond(hi + 1, self.x_max)
 
     def _no_rescale(self, what: str) -> None:
         if self.rescaled:
@@ -188,7 +236,7 @@ class ScaleTable:
     def _w_column(self) -> np.ndarray:
         """W(0..x_max). A rescaled table multiplies its tilted column out once,
         level by level in Python floats, inf from the first level past float range."""
-        if self.rescaled and self._wcol is None:
+        if self._wcol is None:
             col, phi = np.full(self.x_max + 1, math.inf), self.phi
             with contextlib.suppress(OverflowError):  # from phi ** -x
                 for x, tilted in enumerate(self._w.tolist()):
@@ -196,13 +244,11 @@ class ScaleTable:
                     if col[x] == math.inf:
                         break
             self._wcol = col
-        return self._wcol if self.rescaled else self._w
+        return self._wcol
 
     def _increments(self, column, lo: int, hi: int) -> np.ndarray:
         """column()[b + 1] - column()[b] for b = lo..hi; column is read after the range checks."""
-        if lo < 0:
-            raise DomainError("difference index must be nonnegative")
-        self._check_index(hi + 1)
+        self._check_steps(lo, hi)
         vals = column()
         return vals[lo + 1: hi + 2] - vals[lo: hi + 1]
 
@@ -218,6 +264,12 @@ class ScaleTable:
     def _dw(self, lo: int, hi: int) -> np.ndarray:
         """dW(b) for b = lo..hi; W(b + 1) in float range puts W(b) there too."""
         return self._increments(lambda: self._w_through(lo + 1, hi + 1), lo, hi)
+
+    def _dz(self, lo: int, hi: int) -> np.ndarray:
+        return self._increments(self._z_values, lo, hi)
+
+    def _dz1(self, lo: int, hi: int) -> np.ndarray:
+        return self._increments(self._z1_values, lo, hi)
 
     def w_array(self) -> np.ndarray:
         """Plain W(0..x_max); raises OverflowSignal if unrepresentable."""
@@ -235,44 +287,62 @@ class ScaleTable:
     def w(self, x: int) -> float:
         if x < 0:
             return 0.0
-        self._check_index(x)
-        return float(self._w_through(x, x)[x])
+        if x > self.x_max:
+            raise _beyond(x, self.x_max)
+        col = self._wcol if self._wcol is not None else self._w_column()
+        try:
+            val = col.item(x)
+        except TypeError:
+            raise _not_integers(x) from None
+        if val == math.inf:
+            raise OverflowSignal(f"W({x}) exceeds float range")
+        return val
 
     def w_ratio(self, x: int, y: int) -> float:
         """W(x) / W(y), computed stably on rescaled tables."""
         if y < 0:
             raise DomainError("denominator index must be nonnegative")
-        self._check_index(y)
+        if y > self.x_max:
+            raise _beyond(y, self.x_max)
         if x < 0:
             return 0.0
-        self._check_index(x)
-        if not self.rescaled:
-            return float(self._w[x] / self._w[y])
+        if x > self.x_max:
+            raise _beyond(x, self.x_max)
         try:
-            return float(self._w[x] / self._w[y] * self.phi ** float(y - x))
+            ratio = self._w.item(x) / self._w.item(y)
+        except TypeError:
+            raise _not_integers(x, y) from None
+        if not self.rescaled:
+            return ratio
+        try:
+            return ratio * self.phi ** float(y - x)
         except OverflowError:
             raise OverflowSignal(f"W({x})/W({y}) exceeds float range") from None
 
     def dw(self, b: int) -> float:
         """First difference W(b+1) - W(b)."""
-        return float(self._dw(b, b)[0])
+        self._check_steps(b, b)
+        step = _step(self._wcol if self._wcol is not None else self._w_column(), b)
+        if not step < math.inf:  # inf or nan: W(b + 1) is past float range
+            raise OverflowSignal(f"W({b + 1}) exceeds float range")
+        return step
 
     def w_over_dw(self, x: int, b: int) -> float:
         """W(x) / (W(b+1) - W(b)), stable on rescaled tables."""
-        if b < 0:
-            raise DomainError("difference index must be nonnegative")
-        self._check_index(b + 1)
+        self._check_steps(b, b)
         if x < 0:
             return 0.0
-        self._check_index(x)
+        if x > self.x_max:
+            raise _beyond(x, self.x_max)
+        try:
+            wx, wb, wb1 = self._w.item(x), self._w.item(b), self._w.item(b + 1)
+        except TypeError:
+            raise _not_integers(x, b) from None
         # dW can round to zero at v = 1 once W saturates; the ratio is then inf
         if not self.rescaled:
-            with np.errstate(divide="ignore"):
-                return float(self._w[x] / (self._w[b + 1] - self._w[b]))
-        den = self._w[b + 1] - self.phi * self._w[b]
+            return _divide(wx, wb1 - wb)
         try:
-            with np.errstate(divide="ignore"):
-                return float(self._w[x] / den * self.phi ** float(b + 1 - x))
+            return _divide(wx, wb1 - self.phi * wb) * self.phi ** float(b + 1 - x)
         except OverflowError:
             raise OverflowSignal(f"W({x})/dW({b}) exceeds float range") from None
 
@@ -281,12 +351,13 @@ class ScaleTable:
         self._no_rescale("cumulative W")
         if x <= 0:
             return 0.0
-        self._check_index(x - 1)
+        if x - 1 > self.x_max:
+            raise _beyond(x - 1, self.x_max)
         return float(np.sum(self._w[:x]))
 
     def _z_values(self) -> np.ndarray:
-        self._no_rescale("Z")
         if self._z is None:
+            self._no_rescale("Z")
             # Z(x) reads sum_{y<x} W(y), so W(x_max) is never summed
             cum = np.concatenate([[0.0], np.cumsum(self._w[:-1])])
             self._z = 1.0 + (1.0 / self.v - 1.0) * cum
@@ -295,15 +366,21 @@ class ScaleTable:
     def z(self, x: int) -> float:
         if x < 0:
             return 1.0
-        self._check_index(x)
-        return float(self._z_values()[x])
+        if x > self.x_max:
+            raise _beyond(x, self.x_max)
+        col = self._z if self._z is not None else self._z_values()
+        try:
+            return col.item(x)
+        except TypeError:
+            raise _not_integers(x) from None
 
     def dz(self, b: int) -> float:
-        return float(self._increments(self._z_values, b, b)[0])
+        self._check_steps(b, b)
+        return _step(self._z if self._z is not None else self._z_values(), b)
 
     def _z1_values(self) -> np.ndarray:
-        self._no_rescale("Z1")
         if self._z1 is None:
+            self._no_rescale("Z1")
             zc = np.concatenate([[0.0], np.cumsum(self._z_values()[:-1])])
             wc = np.concatenate([[0.0], np.cumsum(self._w[:-1])])
             self._z1 = zc - (1.0 - self.model.dist.mean) * wc
@@ -312,11 +389,17 @@ class ScaleTable:
     def z1(self, x: int) -> float:
         if x < 0:
             return float(x)
-        self._check_index(x)
-        return float(self._z1_values()[x])
+        if x > self.x_max:
+            raise _beyond(x, self.x_max)
+        col = self._z1 if self._z1 is not None else self._z1_values()
+        try:
+            return col.item(x)
+        except TypeError:
+            raise _not_integers(x) from None
 
     def dz1(self, b: int) -> float:
-        return float(self._increments(self._z1_values, b, b)[0])
+        self._check_steps(b, b)
+        return _step(self._z1 if self._z1 is not None else self._z1_values(), b)
 
     def zw_array(self, w: float) -> np.ndarray:
         """Z(0..x_max, w), kept for the most recently used transform arguments."""
@@ -329,6 +412,7 @@ class ScaleTable:
             if len(self._zw) >= _ZW_KEPT:
                 del self._zw[next(iter(self._zw))]  # the least recently used
         self._zw[key] = col
+        self._zw_recent = (key, col)
         return col
 
     def z_at(self, x: int, w: float) -> float:
@@ -336,11 +420,21 @@ class ScaleTable:
             if not 0.0 < w <= 1.0:
                 raise DomainError(f"transform argument {w} outside (0, 1]")
             return float(w) ** (-x)
-        self._check_index(x)
-        return float(self.zw_array(w)[x])
+        if x > self.x_max:
+            raise _beyond(x, self.x_max)
+        # the most recently used column needs no move to the end of _zw
+        key, col = self._zw_recent
+        if key != w:
+            col = self.zw_array(w)
+        try:
+            return col.item(x)
+        except TypeError:
+            raise _not_integers(x) from None
 
     def dzw(self, b: int, w: float) -> float:
-        return float(self._increments(lambda: self.zw_array(w), b, b)[0])
+        self._check_steps(b, b)
+        key, col = self._zw_recent
+        return _step(col if key == w else self.zw_array(w), b)
 
 
 def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> ScaleTable:

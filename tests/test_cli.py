@@ -12,6 +12,8 @@ import skipfree
 
 from skipfree import cli
 from skipfree.cli import main
+from skipfree import DiscountedModel, w_table
+from skipfree.dividends import optimize_barrier
 from skipfree.golden import GOLDEN_CHECKS
 
 
@@ -102,6 +104,34 @@ def test_optimize_doubly_reports_json(gsy_file, capsys):
     assert payload["ties"] == [24]
     assert payload["value"] == pytest.approx(22.1226924488191, rel=1e-10)
     assert len(payload["trace"]) == 41
+
+
+def test_optimize_prints_strict_json_past_where_dw_is_resolved(gsy_file, capsys, four_point):
+    # at v = 1 dW rounds to 0 from b = 1450 on: H is inf or nan there
+    rc = main(["optimize", "--model", gsy_file, "--v", "1", "--objective", "modified",
+               "--k", "1.2", "--bmax", "1500"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert rc == 0
+    table = w_table(DiscountedModel(four_point, 1.0), 1502)
+    result = optimize_barrier(table, "modified_definetti", 1.2, 0, 1500)
+    assert [entry["b"] for entry in payload["trace"]] == list(range(1501))
+    assert [entry["H"] for entry in payload["trace"]] == [
+        h if math.isfinite(h) else None for _, h in result.trace]
+    assert sum(entry["H"] is None for entry in payload["trace"]) == 31
+    assert payload["value"] is None and not math.isfinite(result.value)
+    assert payload["b_star"] == result.b_star and payload["attained"] is False
+
+
+def test_optimize_refuses_a_law_with_no_tail(tmp_path, capsys):
+    # 0.7 + 0.3 as floats leaves a tail of 5.55e-17, which at v = 1 used to
+    # slip past the degenerate check and print "value": Infinity
+    path = tmp_path / "no_tail.json"
+    path.write_text(json.dumps({"type": "modified_geometric", "p0": 0.7, "p1": 0.3,
+                                "alpha": 0.5}))
+    rc = main(["optimize", "--model", str(path), "--v", "1", "--bmax", "40"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: p0 + p1 must be below 1")
 
 
 def test_optimize_requires_penalty(gsy_file, capsys):

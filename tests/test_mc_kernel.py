@@ -18,6 +18,7 @@ from skipfree import (
 )
 from skipfree.errors import InvalidFunctional
 from skipfree.golden import four_point_model, three_point_model, two_point_model
+from skipfree import mc
 from skipfree.mc import _KINDS, _ClaimSampler, _rng, _run, default_registry
 
 THREE, TWO, FOUR = three_point_model(), two_point_model(), four_point_model()
@@ -190,6 +191,28 @@ def test_claim_sampler_conditions_on_a_claim(modgeom):
         runs = sampler.zero_run(u)
         assert float(runs.mean()) == pytest.approx(dist.p0 / (1.0 - dist.p0), rel=0.05)
     assert np.isinf(_ClaimSampler(ONE_ATOM).zero_run(u[:10])).all()
+
+
+WIDE = validate([0.4] + [0.6 / 40] * 40)  # 40 distinct cdf values, past _COMPARE_STEPS
+
+
+@pytest.mark.parametrize("dist", [FOUR, THREE, TWO, HEAVY, MODGEOM, WIDE,
+                                  modified_geometric(p0=0.6, p1=0.24, alpha=0.4),
+                                  modified_geometric(p0=0.5, p1=0.0, alpha=0.3)])
+def test_compare_and_add_draws_equal_searchsorted(dist, monkeypatch):
+    sampler = _ClaimSampler(dist)
+    # uniforms on and next to every cdf value, and at both ends of [0, 1)
+    cuts = sampler.tail_cdf[sampler.tail_cdf < 1.0]
+    u = np.concatenate([_rng(11, 2).random(20000), cuts, np.nextafter(cuts, 0.0),
+                        np.nextafter(cuts, 1.0), [0.0, np.nextafter(1.0, 0.0)]])
+    assert (len(sampler.steps) > mc._COMPARE_STEPS) == (dist is WIDE)
+    got = sampler.draw_positive(u)
+    monkeypatch.setattr(mc, "_COMPARE_STEPS", -1)
+    want = sampler.draw_positive(u)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    if not dist.tail_mass:
+        assert np.array_equal(got, 1 + np.searchsorted(sampler.tail_cdf, u, side="right"))
 
 
 @pytest.mark.parametrize("dist, b, v, x0", [

@@ -136,6 +136,17 @@ def test_modified_geometric_rejects_bad_parameters():
         modified_geometric(p0=0.0, p1=0.4, alpha=0.3)
 
 
+@pytest.mark.parametrize("p0, p1", [
+    (0.7, 0.3), ("0.7", "0.3"), (0.1, 0.2 + 0.7), (0.5, 0.5 - 1e-13)])
+def test_modified_geometric_rejects_a_tail_within_rounding(p0, p1):
+    # 0.7 + 0.3 as floats falls short of 1 by 5.55e-17: a tail of no mass,
+    # which the v = 1 degenerate check does not see
+    obj = {"type": "modified_geometric", "p0": p0, "p1": p1, "alpha": 0.5}
+    with pytest.raises(NotADistribution, match="^p0 \\+ p1 must be below 1 by more than 1e-12"):
+        from_jsonable(obj)
+    assert modified_geometric(p0=0.5, p1=0.5 - 1e-11, alpha=0.5).tail_mass > 0.0
+
+
 @pytest.mark.parametrize("kwargs, error", [
     (dict(kind="modified_geometric", pmf=(0.5, 0.1), alpha=1.0), NotADistribution),
     (dict(kind="modified_geometric", pmf=(0.5, 0.1), alpha=1.5), NotADistribution),
