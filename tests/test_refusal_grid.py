@@ -1,0 +1,96 @@
+"""Every scalar read of a scale table, and the two passage functionals that
+read Z(., w) below zero, on a grid of good and bad levels.
+
+Each call gives float bits or an error, and which error wins when a call
+has several bad arguments is part of the contract: a level past x_max
+first, then a family a rescaled table lacks, then a level that is not an
+integer. The digests below were recorded before the accessors shared one
+refusal rule, so they pin every outcome and its precedence.
+"""
+
+import hashlib
+import struct
+from functools import partial
+
+import numpy as np
+import pytest
+
+from skipfree import DiscountedModel, w_table
+from skipfree import passage as pa
+from skipfree.golden import four_point_model, three_point_model
+
+TABLES = (
+    w_table(DiscountedModel(three_point_model(), 0.9), 10),
+    w_table(DiscountedModel(three_point_model(), 0.9), 10, rescaled=True),
+    # the rescaled W leaves float range at 1752
+    w_table(DiscountedModel(four_point_model(), 0.8), 2002, rescaled=True),
+)
+WS = (0.5, 1.5)
+
+
+def _levels(x_max):
+    return (-2**70, -2, -1, -0.5, 0, 3, x_max, x_max + 1, 2**70, 2.0, 3.5, True, False,
+            np.int64(4), np.float64(4.0))
+
+
+def _one(name):
+    return lambda t, xs: [(getattr(t, name), (x,)) for x in xs]
+
+
+def _two(name):
+    return lambda t, xs: [(getattr(t, name), (x, y)) for x in xs for y in xs]
+
+
+def _with_w(name):
+    return lambda t, xs: [(getattr(t, name), (x, w)) for x in xs for w in WS]
+
+
+# accessor or functional -> the calls it makes on a table t with levels xs
+CALLS = {
+    **{name: _one(name) for name in ("w", "dw", "z", "dz", "z1", "dz1")},
+    **{name: _two(name) for name in ("w_ratio", "w_over_dw")},
+    **{name: _with_w(name) for name in ("z_at", "dzw")},
+    "discounted_ruin_gf": lambda t, xs: [(partial(pa.discounted_ruin_gf, t), (x, w))
+                                         for x in xs for w in WS],
+    "expected_stopped_z": lambda t, xs: [(partial(pa.expected_stopped_z, t), (x, w, n))
+                                         for x in xs for w in WS for n in xs],
+}
+
+PINS = {
+    "discounted_ruin_gf": "6c84587b532d466f510eeb7fc93b25a6a244ca080595978311b999128845e774",
+    "dw": "bd3d31f0691a66742e52e8150b551a881682b4f1e18f4d2cddc67214c3113a9d",
+    "dz": "c6e0ef58f01def4b5d19cb04b9568dfe545edd8e49c6a28d24ee41a7a39d733a",
+    "dz1": "1fd4fa93052efa99568e3627e2b555e5864604b72e4496a5ca3f7d91561b74ee",
+    "dzw": "9dd0b9740baef88477f22c194528b94773a4cfde89571bfd5a66ded3a09cb875",
+    "expected_stopped_z": "23c25db67a949ce0aec9834d14a08ad52b18588de6beef29ee7e5f5948acac49",
+    "w": "bb896449874da5d097a3b55d1ab037b3e4dcbac86b469a69e6d89294a855f66d",
+    "w_over_dw": "9b9eed48f8a42e7050ca15f41474bb13ee9e2a865c9d3984b9d61c998f075e42",
+    "w_ratio": "11fda75deabbc7a7cc318ed28cc9847630d682d6ba93e37fed0d6e7fdf631f37",
+    "z": "c01b927fb168375faa1591a08344abdec2d23e6d05ce1a00bd1b562bef62f913",
+    "z1": "8d3ccd56dd1766ad1c39b2ada2186fc7d236567a332dfb4536cc3898653246ed",
+    "z_at": "4d652b06632010df9894b66e5ba9232c9d3ab46ba5737c1783552998ac037e8e",
+}
+
+
+def _outcome(fn, args) -> str:
+    """The type and float bits of a result, or the class and message of the error."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # a bad level may also reach numpy's own errors
+        return f"{type(exc).__name__}: {exc}"
+    return f"{type(out).__name__} {struct.pack('<d', out).hex()}"
+
+
+def _lines(name):
+    for i, table in enumerate(TABLES):
+        for fn, args in CALLS[name](table, _levels(table.x_max)):
+            yield f"{i} {name}{args} -> {_outcome(fn, args)}"
+
+
+def _digest(name):
+    return hashlib.sha256("\n".join(_lines(name)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_refusal_grid_pin(name):
+    assert _digest(name) == PINS[name]
