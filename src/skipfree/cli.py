@@ -16,6 +16,10 @@ Exit codes: 0 on success, 1 when a golden check or MC concordance
 fails (a NaN z or p fails too), 2 on configuration errors, unknown
 flags included (message on standard error, no partial output).
 
+ruin --rescaled helps only at v = 1, where ruin reads W alone. At v < 1
+discounted ruin reads Z, which a rescaled table lacks, so it exits 2 with
+"Z is unavailable on a rescaled table".
+
 mc-verify and optimize print strict JSON: a number that is not finite
 (an infinite or NaN z, or the inf and nan influences of a scan past where
 dW is resolved) is written as null.
@@ -130,7 +134,7 @@ def _table_for(args: argparse.Namespace, x_max: int, rescaled: bool = False):
 
 def cmd_scale(args: argparse.Namespace) -> int:
     table = _table_for(args, args.xmax + 1)
-    cols = (table.w_array(), table._dw(0, args.xmax), table._z_values(), table._z1_values())
+    cols = (table.w_array(), table._dw(0, args.xmax), table.zw_array(1.0), table._z1_values())
     lines = ["x,W,dW,Z,Z1"]
     for x, row in enumerate(zip(*(col[: args.xmax + 1].tolist() for col in cols))):
         lines.append(",".join([str(x)] + [_fmt(c) for c in row]))

@@ -129,8 +129,10 @@ class ClaimDistribution:
     def tail_mass(self) -> float:
         """P(C >= len(pmf)), the mass of the geometric tail: 0.0 for a table,
         1 - p_0 - p_1 for the modified geometric law, whose tail starts at
-        claim 2, right after the atoms (p_0, p_1)."""
-        return 0.0 if self.kind == TABLE else 1.0 - self.p0 - self.p1
+        claim 2, right after the atoms (p_0, p_1). A rest of at most 1e-12, as
+        0.7 + 0.3 leaves, is rounding: the tail is then empty."""
+        rest = 0.0 if self.kind == TABLE else 1.0 - self.p0 - self.p1
+        return rest if rest > _SUM_TOL else 0.0
 
     @cached_property
     def mean(self) -> float:

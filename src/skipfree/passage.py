@@ -129,11 +129,8 @@ def discounted_ruin_gf(table: ScaleTable, x: int, w: float) -> float:
 
     Z(x, w) minus the ratio limit of Z(b, w) / W(b) times W(x).
     """
-    if x <= -1:
-        if not 0.0 < w <= 1.0:
-            raise DomainError(f"transform argument {w} outside (0, 1]")
-        return float(w) ** (-x)
-    return table.z_at(x, w) - ruin_limit_ratio(table, w) * table.w(x)
+    zx = table.z_at(x, w)
+    return zx if x <= -1 else zx - ruin_limit_ratio(table, w) * table.w(x)
 
 
 @dataclass(frozen=True)
@@ -255,6 +252,10 @@ def _stopped_dp(table: ScaleTable, x: int, n: int, w: float | None):
     absorbed value). The absorbed value is zero when w is None and
     v^t * w^(-deficit) summed exactly otherwise.
     """
+    if n < 0:
+        raise DomainError("horizon must be nonnegative")
+    if table.x_max < x + n:
+        raise OutOfTable(f"need the table up to x + n = {x + n}")
     model = table.model
     v = model.v
     levels = x + n + 1
@@ -281,10 +282,6 @@ def expected_stopped_w(table: ScaleTable, x: int, n: int) -> float:
     """
     if x < 0:
         return 0.0
-    if n < 0:
-        raise DomainError("horizon must be nonnegative")
-    if table.x_max < x + n:
-        raise OutOfTable(f"need the table up to x + n = {x + n}")
     q, _, disc = _stopped_dp(table, x, n, None)
     vals = table._w_through(0, len(q) - 1)[: len(q)]
     return float(disc * np.dot(q, vals))
@@ -292,15 +289,10 @@ def expected_stopped_w(table: ScaleTable, x: int, n: int) -> float:
 
 def expected_stopped_z(table: ScaleTable, x: int, w: float, n: int) -> float:
     """Exact E_x[v^(n and tau) * Z(X at n and tau, w)] over n steps."""
-    if not 0.0 < w <= 1.0:
+    if not 0.0 < w <= 1.0:  # the DP sums w's tail terms before it reads a column
         raise DomainError(f"transform argument {w} outside (0, 1]")
     if x < 0:
-        return float(w) ** (-x)
-    if n < 0:
-        raise DomainError("horizon must be nonnegative")
-    if table.x_max < x + n:
-        raise OutOfTable(f"need the table up to x + n = {x + n}")
+        return table.z_at(x, w)
     q, absorbed, disc = _stopped_dp(table, x, n, w)
-    zw = table.zw_array(w)
-    vals = zw[: len(q)]
+    vals = table.zw_array(w)[: len(q)]
     return float(disc * np.dot(q, vals) + absorbed)

@@ -149,25 +149,6 @@ def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
                   _z_tail_terms(model, w, x_max))
 
 
-def _beyond(x: int, x_max: int) -> OutOfTable:
-    return OutOfTable(f"x = {x} beyond table range 0..{x_max}")
-
-
-def _not_integers(*levels) -> DomainError:
-    """The error of a column read that ndarray.item refused: it names the first
-    level that is not an integer, a float or a bool say."""
-    bad = next(x for x in levels if isinstance(x, bool) or not isinstance(x, (int, np.integer)))
-    return DomainError(f"level {bad!r} is not an integer")
-
-
-def _step(col: np.ndarray, b: int) -> float:
-    """col[b + 1] - col[b] in Python floats, b already range-checked."""
-    try:
-        return col.item(b + 1) - col.item(b)
-    except TypeError:
-        raise _not_integers(b) from None
-
-
 def _divide(num: float, den: float) -> float:
     """num / den in Python floats; a zero den gives numpy's +-inf, or its nan at 0 / 0."""
     try:
@@ -177,42 +158,39 @@ def _divide(num: float, den: float) -> float:
             return float(np.float64(num) / den)
 
 
+_MISREAD = (IndexError, TypeError, OverflowError)  # ndarray.item on a level that is no index
+_NEGATIVE_STEP = "difference index must be nonnegative"
+
+
 @dataclass
 class ScaleTable:
-    """Precomputed scale columns for one model on 0..x_max.
+    """Precomputed scale columns for one model on 0..x_max: W, Z = Z(., 1)
+    and Z1, which w_table builds at once. A rescaled table stores the tilted
+    column W(x) * phi^x instead, which keeps ratios representable where W
+    would overflow; it multiplies W out on first use and has no Z family.
 
-    Accessors read the columns, apply the boundary conventions (W = 0,
-    Z(., w) = w^{-x}, Z1 = x below zero) and raise OutOfTable past x_max.
-    With rescaled=True the tilted column W(x) * phi^x is built instead,
-    which keeps ratios representable when W itself would overflow; the Z
-    family is unavailable in that mode.
-
-    Scalar reads: w, w_ratio, w_over_dw, dw, z, dz, z1, dz1, z_at and
-    dzw check the range once, read their entries with ndarray.item and do
-    their arithmetic in Python floats, which round as numpy's float64
-    scalars do. A level that is not an integer (3.5, 2.0, True) makes the
-    read itself fail, and only then is it reported as DomainError; a level
-    below zero takes its boundary value and is not read. A
-    division by a difference that rounded to zero falls back to numpy,
-    so it gives numpy's inf or nan as the column scans do. z_at and dzw
-    read the most recently used Z(., w) column without reordering the
-    kept columns.
+    One rule for every scalar read (w, w_ratio, w_over_dw, dw, z, dz, z1,
+    dz1, z_at, dzw): a level below zero takes its boundary value (W = 0,
+    Z = 1, Z1 = x, Z(x, w) = w^{-x}) unread, a difference index below zero
+    is a DomainError, and any other level is read by ndarray.item as a
+    Python float, bit for bit the column entry. A level item refuses
+    raises OutOfTable if past x_max, else DomainError for a family a
+    rescaled table lacks (or zw_array's refusal of w), else DomainError as
+    not an integer (3.5, 2.0, True). A division by a difference that
+    rounded to zero gives numpy's inf or nan, as the column scans do. z_at
+    and dzw read the last Z(., w) column used without reordering the rest.
     """
 
     model: DiscountedModel
     x_max: int
     rescaled: bool
     _w: np.ndarray
-    _z: np.ndarray | None = None
-    _z1: np.ndarray | None = None
+    _z: np.ndarray  # Z and Z1 on 0..x_max; empty on a rescaled table
+    _z1: np.ndarray
     _zw: dict[float, np.ndarray] = field(default_factory=dict)
     # (w, Z(., w)) of the last zw_array call; a nan w equals no argument
     _zw_recent: tuple = (math.nan, None)
-    _wcol: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if not self.rescaled:
-            self._wcol = self._w
+    _wcol: np.ndarray | None = None  # W multiplied out of a rescaled table's tilted column
 
     @property
     def v(self) -> float:
@@ -222,20 +200,26 @@ class ScaleTable:
     def phi(self) -> float:
         return self.model.phi_v
 
-    def _check_steps(self, lo: int, hi: int) -> None:
-        """Differences b = lo..hi lie in the table: 0 <= lo and hi + 1 <= x_max."""
-        if lo < 0:
-            raise DomainError("difference index must be nonnegative")
-        if hi >= self.x_max:
-            raise _beyond(hi + 1, self.x_max)
-
-    def _no_rescale(self, what: str) -> None:
-        if self.rescaled:
-            raise DomainError(f"{what} is unavailable on a rescaled table")
+    def _refused(self, err: Exception | None, what: str, past: tuple,
+                 named: tuple = ()) -> Exception:
+        """The error for a read that item or zw_array refused with err, by the class docstring's
+        order: levels past are range-checked in turn, named (default past) checked as integers."""
+        for x in past:
+            if x > self.x_max:
+                return OutOfTable(f"x = {x} beyond table range 0..{self.x_max}")
+        if self.rescaled and what:
+            return DomainError(f"{what} is unavailable on a rescaled table")
+        if not isinstance(err, DomainError):
+            for x in named or past:
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    return DomainError(f"level {x!r} is not an integer")
+        return err
 
     def _w_column(self) -> np.ndarray:
         """W(0..x_max). A rescaled table multiplies its tilted column out once,
         level by level in Python floats, inf from the first level past float range."""
+        if not self.rescaled:
+            return self._w
         if self._wcol is None:
             col, phi = np.full(self.x_max + 1, math.inf), self.phi
             with contextlib.suppress(OverflowError):  # from phi ** -x
@@ -246,12 +230,6 @@ class ScaleTable:
             self._wcol = col
         return self._wcol
 
-    def _increments(self, column, lo: int, hi: int) -> np.ndarray:
-        """column()[b + 1] - column()[b] for b = lo..hi; column is read after the range checks."""
-        self._check_steps(lo, hi)
-        vals = column()
-        return vals[lo + 1: hi + 2] - vals[lo: hi + 1]
-
     def _w_through(self, lo: int, hi: int) -> np.ndarray:
         """The W column, checked on levels lo..hi (0 <= lo <= hi <= x_max): the inf
         filling a rescaled column past float range raises, naming its first level."""
@@ -261,15 +239,26 @@ class ScaleTable:
             raise OverflowSignal(f"W({first}) exceeds float range")
         return col
 
+    def _check_steps(self, lo: int, hi: int, what: str = "") -> None:
+        """0 <= lo and hi + 1 <= x_max, and the column what (a Z family) is not missing."""
+        if lo < 0:
+            raise DomainError(_NEGATIVE_STEP)
+        if hi >= self.x_max or self.rescaled and what:
+            raise self._refused(None, what, (hi + 1,))
+
     def _dw(self, lo: int, hi: int) -> np.ndarray:
         """dW(b) for b = lo..hi; W(b + 1) in float range puts W(b) there too."""
-        return self._increments(lambda: self._w_through(lo + 1, hi + 1), lo, hi)
+        self._check_steps(lo, hi)
+        col = self._w_through(lo + 1, hi + 1)
+        return col[lo + 1: hi + 2] - col[lo: hi + 1]
 
     def _dz(self, lo: int, hi: int) -> np.ndarray:
-        return self._increments(self._z_values, lo, hi)
+        self._check_steps(lo, hi, "Z")
+        return self._z[lo + 1: hi + 2] - self._z[lo: hi + 1]
 
     def _dz1(self, lo: int, hi: int) -> np.ndarray:
-        return self._increments(self._z1_values, lo, hi)
+        self._check_steps(lo, hi, "Z1")
+        return self._z1[lo + 1: hi + 2] - self._z1[lo: hi + 1]
 
     def w_array(self) -> np.ndarray:
         """Plain W(0..x_max); raises OverflowSignal if unrepresentable."""
@@ -287,31 +276,22 @@ class ScaleTable:
     def w(self, x: int) -> float:
         if x < 0:
             return 0.0
-        if x > self.x_max:
-            raise _beyond(x, self.x_max)
-        col = self._wcol if self._wcol is not None else self._w_column()
         try:
-            val = col.item(x)
-        except TypeError:
-            raise _not_integers(x) from None
-        if val == math.inf:
-            raise OverflowSignal(f"W({x}) exceeds float range")
-        return val
+            val = self._w.item(x)
+        except _MISREAD as err:
+            raise self._refused(err, "", (x,)) from None
+        return self._w_through(x, x).item(x) if self.rescaled else val
 
     def w_ratio(self, x: int, y: int) -> float:
         """W(x) / W(y), computed stably on rescaled tables."""
         if y < 0:
             raise DomainError("denominator index must be nonnegative")
-        if y > self.x_max:
-            raise _beyond(y, self.x_max)
-        if x < 0:
+        if x < 0 and y <= self.x_max:  # W(x) = 0 once W(y) is in the table
             return 0.0
-        if x > self.x_max:
-            raise _beyond(x, self.x_max)
         try:
             ratio = self._w.item(x) / self._w.item(y)
-        except TypeError:
-            raise _not_integers(x, y) from None
+        except _MISREAD as err:
+            raise self._refused(err, "", (y, x), (x, y)) from None
         if not self.rescaled:
             return ratio
         try:
@@ -321,23 +301,24 @@ class ScaleTable:
 
     def dw(self, b: int) -> float:
         """First difference W(b+1) - W(b)."""
-        self._check_steps(b, b)
-        step = _step(self._wcol if self._wcol is not None else self._w_column(), b)
-        if not step < math.inf:  # inf or nan: W(b + 1) is past float range
-            raise OverflowSignal(f"W({b + 1}) exceeds float range")
-        return step
+        if b < 0:
+            raise DomainError(_NEGATIVE_STEP)
+        try:
+            step = self._w.item(b + 1) - self._w.item(b)
+        except _MISREAD as err:
+            raise self._refused(err, "", (b + 1,), (b,)) from None
+        return self._dw(b, b).item() if self.rescaled else step
 
     def w_over_dw(self, x: int, b: int) -> float:
         """W(x) / (W(b+1) - W(b)), stable on rescaled tables."""
-        self._check_steps(b, b)
-        if x < 0:
+        if b < 0:
+            raise DomainError(_NEGATIVE_STEP)
+        if x < 0 and b < self.x_max:  # W(x) = 0 once dW(b) is in the table
             return 0.0
-        if x > self.x_max:
-            raise _beyond(x, self.x_max)
         try:
             wx, wb, wb1 = self._w.item(x), self._w.item(b), self._w.item(b + 1)
-        except TypeError:
-            raise _not_integers(x, b) from None
+        except _MISREAD as err:
+            raise self._refused(err, "", (b + 1, x), (x, b)) from None
         # dW can round to zero at v = 1 once W saturates; the ratio is then inf
         if not self.rescaled:
             return _divide(wx, wb1 - wb)
@@ -346,69 +327,51 @@ class ScaleTable:
         except OverflowError:
             raise OverflowSignal(f"W({x})/dW({b}) exceeds float range") from None
 
-    def cum_w(self, x: int) -> float:
-        """Sum of W(y) for 0 <= y < x."""
-        self._no_rescale("cumulative W")
-        if x <= 0:
-            return 0.0
-        if x - 1 > self.x_max:
-            raise _beyond(x - 1, self.x_max)
-        return float(np.sum(self._w[:x]))
-
-    def _z_values(self) -> np.ndarray:
-        if self._z is None:
-            self._no_rescale("Z")
-            # Z(x) reads sum_{y<x} W(y), so W(x_max) is never summed
-            cum = np.concatenate([[0.0], np.cumsum(self._w[:-1])])
-            self._z = 1.0 + (1.0 / self.v - 1.0) * cum
-        return self._z
-
     def z(self, x: int) -> float:
         if x < 0:
             return 1.0
-        if x > self.x_max:
-            raise _beyond(x, self.x_max)
-        col = self._z if self._z is not None else self._z_values()
         try:
-            return col.item(x)
-        except TypeError:
-            raise _not_integers(x) from None
+            return self._z.item(x)
+        except _MISREAD as err:
+            raise self._refused(err, "Z", (x,)) from None
 
     def dz(self, b: int) -> float:
-        self._check_steps(b, b)
-        return _step(self._z if self._z is not None else self._z_values(), b)
+        if b < 0:
+            raise DomainError(_NEGATIVE_STEP)
+        try:
+            return self._z.item(b + 1) - self._z.item(b)
+        except _MISREAD as err:
+            raise self._refused(err, "Z", (b + 1,), (b,)) from None
 
     def _z1_values(self) -> np.ndarray:
-        if self._z1 is None:
-            self._no_rescale("Z1")
-            zc = np.concatenate([[0.0], np.cumsum(self._z_values()[:-1])])
-            wc = np.concatenate([[0.0], np.cumsum(self._w[:-1])])
-            self._z1 = zc - (1.0 - self.model.dist.mean) * wc
+        if self.rescaled:
+            raise self._refused(None, "Z1", ())
         return self._z1
 
     def z1(self, x: int) -> float:
         if x < 0:
             return float(x)
-        if x > self.x_max:
-            raise _beyond(x, self.x_max)
-        col = self._z1 if self._z1 is not None else self._z1_values()
         try:
-            return col.item(x)
-        except TypeError:
-            raise _not_integers(x) from None
+            return self._z1.item(x)
+        except _MISREAD as err:
+            raise self._refused(err, "Z1", (x,)) from None
 
     def dz1(self, b: int) -> float:
-        self._check_steps(b, b)
-        return _step(self._z1 if self._z1 is not None else self._z1_values(), b)
+        if b < 0:
+            raise DomainError(_NEGATIVE_STEP)
+        try:
+            return self._z1.item(b + 1) - self._z1.item(b)
+        except _MISREAD as err:
+            raise self._refused(err, "Z1", (b + 1,), (b,)) from None
 
     def zw_array(self, w: float) -> np.ndarray:
         """Z(0..x_max, w), kept for the most recently used transform arguments."""
-        self._no_rescale("Z(., w)")
+        if self.rescaled:
+            raise self._refused(None, "Z(., w)", ())
         key = float(w)
         col = self._zw.pop(key, None)
         if col is None:
-            col = (self._z_values() if key == 1.0
-                   else z_table_w(self.model, key, self.x_max))
+            col = self._z if key == 1.0 else z_table_w(self.model, key, self.x_max)
             if len(self._zw) >= _ZW_KEPT:
                 del self._zw[next(iter(self._zw))]  # the least recently used
         self._zw[key] = col
@@ -420,21 +383,25 @@ class ScaleTable:
             if not 0.0 < w <= 1.0:
                 raise DomainError(f"transform argument {w} outside (0, 1]")
             return float(w) ** (-x)
-        if x > self.x_max:
-            raise _beyond(x, self.x_max)
         # the most recently used column needs no move to the end of _zw
         key, col = self._zw_recent
-        if key != w:
-            col = self.zw_array(w)
         try:
+            if key != w:
+                col = self.zw_array(w)
             return col.item(x)
-        except TypeError:
-            raise _not_integers(x) from None
+        except (*_MISREAD, DomainError) as err:
+            raise self._refused(err, "", (x,)) from None
 
     def dzw(self, b: int, w: float) -> float:
-        self._check_steps(b, b)
+        if b < 0:
+            raise DomainError(_NEGATIVE_STEP)
         key, col = self._zw_recent
-        return _step(col if key == w else self.zw_array(w), b)
+        try:
+            if key != w:
+                col = self.zw_array(w)
+            return col.item(b + 1) - col.item(b)
+        except (*_MISREAD, DomainError) as err:
+            raise self._refused(err, "", (b + 1,), (b,)) from None
 
 
 def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> ScaleTable:
@@ -443,7 +410,8 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
     The plain build runs two algebraically independent recursions and
     raises NoConvergence if they disagree beyond 1e-10 relative error,
     and OverflowSignal if entries leave float range (retry with
-    rescaled=True in that case, at the price of losing the Z family).
+    rescaled=True in that case, at the price of losing the Z family), and
+    sums W into the Z and Z1 columns.
     """
     if x_max < 0:
         raise DomainError("x_max must be nonnegative")
@@ -451,7 +419,8 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
         arr = _w_array_tilted(model, x_max)
         if not np.all(np.isfinite(arr)):
             raise NoConvergence("tilted W recursion produced non-finite values")
-        return ScaleTable(model=model, x_max=x_max, rescaled=True, _w=arr)
+        return ScaleTable(model=model, x_max=x_max, rescaled=True, _w=arr,
+                          _z=np.empty(0), _z1=np.empty(0))
     arr = alt = _w_array(model, x_max)
     if np.all(np.isfinite(arr)):
         alt = _w_array_alt(model, x_max)
@@ -464,7 +433,12 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
         raise NoConvergence(
             f"W self-check failed: recursions disagree by {rel:.3e} relative"
         )
-    return ScaleTable(model=model, x_max=x_max, rescaled=False, _w=arr)
+    # Z(x) and Z1(x) sum over y < x; near float range the sums read inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        cum = np.concatenate([[0.0], np.cumsum(arr[:-1])])
+        z = 1.0 + (1.0 / model.v - 1.0) * cum
+        z1 = np.concatenate([[0.0], np.cumsum(z[:-1])]) - (1.0 - model.dist.mean) * cum
+    return ScaleTable(model=model, x_max=x_max, rescaled=False, _w=arr, _z=z, _z1=z1)
 
 
 def asymptotic_constant(model: DiscountedModel) -> float:
@@ -567,11 +541,9 @@ def z_gf_residual(
     """
     if not 0.0 < z < model.phi_v:
         raise DomainError(f"need 0 < z < phi_v = {model.phi_v}; got z = {z}")
-    if table is not None and not table.rescaled and table.x_max >= x_max:
-        zarr = table.zw_array(1.0)[: x_max + 1]
-    else:
-        tab = w_table(model, x_max)
-        zarr = tab.zw_array(1.0)
+    if table is None or table.rescaled or table.x_max < x_max:
+        table = w_table(model, x_max)
+    zarr = table.zw_array(1.0)[: x_max + 1]
     s = float(np.polynomial.polynomial.polyval(z, zarr))
     pg = model.dist.pgf(z)
     target = (pg - z) / ((pg - z / model.v) * (1.0 - z))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skipfree import (
     ClaimDistribution,
+    Degenerate,
     DiscountedModel,
     DomainError,
     NonPositiveP0,
@@ -19,7 +20,9 @@ from skipfree import (
     from_jsonable,
     modified_geometric,
     validate,
+    w_table,
 )
+from skipfree import dividends as dv
 
 
 def test_validate_exact_fractions(three_point):
@@ -181,6 +184,21 @@ def test_direct_construction_of_valid_laws():
     assert ClaimDistribution(kind="table", pmf=(0.5, 0.5)) == validate(["1/2", "1/2"])
     # a sum within the tolerance of validate still builds
     assert ClaimDistribution(kind="table", pmf=(0.5, 0.5 + 1e-13)).max_claim == 1
+
+
+def test_direct_modified_geometric_tail_within_tolerance_is_empty():
+    # 0.7 + 0.3 as floats leaves 5.55e-17: rounding, not a tail
+    d = ClaimDistribution(kind="modified_geometric", pmf=(0.7, 0.3), alpha=0.5)
+    assert d.tail_mass == 0.0 and d.tail(1) == 0.0 and d.mean == 0.3
+    t = w_table(DiscountedModel(d, 1.0), 20)
+    for value in (dv.definetti_value, dv.bailout_value_reflected):
+        with pytest.raises(Degenerate):
+            value(t, 5, 2)
+    # a tail past the tolerance is kept as it stands
+    assert ClaimDistribution(kind="modified_geometric", pmf=(0.6, 0.24), alpha=0.4).tail_mass \
+        == 1.0 - 0.6 - 0.24
+    assert ClaimDistribution(kind="modified_geometric", pmf=(0.5, 0.5 - 1e-11),
+                             alpha=0.4).tail_mass == 1.0 - 0.5 - (0.5 - 1e-11)
 
 
 def test_json_round_trip(three_point, modgeom):
