@@ -94,3 +94,29 @@ def _digest(name):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_refusal_grid_pin(name):
     assert _digest(name) == PINS[name]
+
+
+# numpy scalars, which a column view and ndarray.item index alike except
+# np.True_ and np.False_, and the last level and one past it
+NUMPY_LEVELS = (np.True_, np.False_, np.int32(3), np.uint64(3), np.int8(-1), np.int64(10),
+                10, 11)
+
+NUMPY_PINS = {
+    "dw": "bef34fe2cdbdc96a0b4016139975ffc5c2f725f0509463f61e4e7c1113799f53",
+    "dz": "d08c53fb34efcd7d0391183c526e93150fab06c61cdbd29961d6fafa7d5d4c8e",
+    "dz1": "730413ae5be713a3158650e0600e220f6fb3496bbcd73623d0bde5591223060e",
+    "dzw": "bd86ea6cfbd97cb008ccb4218f139efac0d6bc8fccd6e42d4b39a32b92a945a2",
+    "w": "b6006faabb5b9e85bd085541e1a7fcfb211c8d45e9e5d4808d2ea43f5ecf92e6",
+    "w_over_dw": "8c6fcbbc26c5c1160dc093b08ac27645541ec0b211ff71b18529fc8dcae7702a",
+    "w_ratio": "2e1633640d454a4e2ae344860feeb4311905c8a61ed298cebd3b1a3267cbe78e",
+    "z": "c428990dab4a85a3ad542280887bc818808d5aea96b0827d3b679dc55f093e0c",
+    "z1": "fa022c9a4ac0bc5c5db1391b144349d8d32d2fede29c4dc8806be1641509fe7b",
+    "z_at": "15a0865fd8c027d393b120948393f7a5471e705de94aa20831e9e42777b92ca0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(CALLS) - {"discounted_ruin_gf", "expected_stopped_z"}))
+def test_numpy_levels_pin(name):
+    lines = (f"{i} {name}{args} -> {_outcome(fn, args)}" for i, table in enumerate(TABLES[:2])
+             for fn, args in CALLS[name](table, NUMPY_LEVELS))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NUMPY_PINS[name]

@@ -299,3 +299,23 @@ def test_recent_zw_column_is_read_in_place():
         assert table.dzw(7, w) == want[8] - want[7]
         assert table.z_at(7, ws[0]) == scale.z_table_w(table.model, ws[0], 60)[7]
         assert list(table._zw) == ([w for w in ws[1: i + 1] if w != ws[0]] + [ws[0]])[-8:]
+
+
+def test_recent_zw_view_follows_every_column_change():
+    # z_at, dzw and zw_array interleaved over more w than the table keeps: every
+    # read is the entry of a freshly computed column, bit for bit
+    table = w_table(DiscountedModel(LAWS["three_point"], 0.9), 40)
+    ws = [0.05 + i / 11 for i in range(10)]
+    assert len(ws) > scale._ZW_KEPT
+    fresh = {w: scale.z_table_w(table.model, w, 40) for w in ws}
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        w, x, kind = ws[rng.integers(10)], int(rng.integers(40)), rng.integers(3)
+        col = fresh[w]
+        if kind == 0:
+            _same([table.z_at(x, w)], [col[x]])
+        elif kind == 1:
+            _same([table.dzw(x, w)], [col[x + 1] - col[x]])
+        else:
+            assert np.array_equal(table.zw_array(w), col)
+        assert len(table._zw) <= scale._ZW_KEPT
