@@ -65,15 +65,14 @@ def expected_deficit(table: ScaleTable, x: int, b: int) -> float:
 def discounted_ruin(table: ScaleTable, x: int) -> float:
     """E_x[v^tau; ruin in finite time] for v < 1.
 
-    Z(x) - alpha_v * W(x) with alpha_v = phi_v (1 - v) / (v (1 - phi_v)).
+    Z(x) - alpha_v * W(x) with alpha_v = phi_v (1 - v) / (v (1 - phi_v)),
+    which the table computes when it is built.
     """
-    v, f = table.v, table.phi
-    if v >= 1.0:
+    if table.v >= 1.0:
         raise DomainError("discounted ruin needs v < 1; see eventual_ruin")
     if x < 0:
         return 1.0
-    alpha = f * (1.0 - v) / (v * (1.0 - f))
-    return table.z(x) - alpha * table.w(x)
+    return table.z(x) - table._alpha_v * table.w(x)
 
 
 def eventual_ruin(table: ScaleTable, x: int) -> float:
@@ -86,10 +85,10 @@ def eventual_ruin(table: ScaleTable, x: int) -> float:
         raise DomainError("eventual ruin is the v = 1 case")
     if x < 0:
         return 1.0
-    m = table.model.dist.mean
-    if m >= 1.0:
+    drift = table._drift  # 1 - mean
+    if drift <= 0.0:
         return 1.0
-    return 1.0 - (1.0 - m) * table.w(x)
+    return 1.0 - drift * table.w(x)
 
 
 def ruin_limit_ratio(table: ScaleTable, w: float) -> float:

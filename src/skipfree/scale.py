@@ -158,7 +158,7 @@ def _divide(num: float, den: float) -> float:
             return float(np.float64(num) / den)
 
 
-_MISREAD = (IndexError, TypeError, OverflowError)  # ndarray.item on a level that is no index
+_MISREAD = (IndexError, TypeError, OverflowError)  # a column read of a level that is no index
 _NEGATIVE_STEP = "difference index must be nonnegative"
 
 
@@ -172,13 +172,17 @@ class ScaleTable:
     One rule for every scalar read (w, w_ratio, w_over_dw, dw, z, dz, z1,
     dz1, z_at, dzw): a level below zero takes its boundary value (W = 0,
     Z = 1, Z1 = x, Z(x, w) = w^{-x}) unread, a difference index below zero
-    is a DomainError, and any other level is read by ndarray.item as a
-    Python float, bit for bit the column entry. A level item refuses
-    raises OutOfTable if past x_max, else DomainError for a family a
-    rescaled table lacks (or zw_array's refusal of w), else DomainError as
-    not an integer (3.5, 2.0, True). A division by a difference that
-    rounded to zero gives numpy's inf or nan, as the column scans do. z_at
-    and dzw read the last Z(., w) column used without reordering the rest.
+    is a DomainError, and any other level is read through a memoryview of
+    its column as a Python float, bit for bit the column entry. A level the
+    view refuses, or a bool, raises OutOfTable if past x_max, else
+    DomainError for a family a rescaled table lacks (or zw_array's refusal
+    of w), else DomainError as not an integer (3.5, 2.0, True). A division
+    by a difference that rounded to zero gives numpy's inf or nan, as the
+    column scans do. z_at and dzw read the view of the last Z(., w) column
+    used without reordering the rest.
+
+    v and phi (the model's v and phi_v) are attributes, set with the
+    column views when the table is built.
     """
 
     model: DiscountedModel
@@ -188,22 +192,29 @@ class ScaleTable:
     _z: np.ndarray  # Z and Z1 on 0..x_max; empty on a rescaled table
     _z1: np.ndarray
     _zw: dict[float, np.ndarray] = field(default_factory=dict)
-    # (w, Z(., w)) of the last zw_array call; a nan w equals no argument
+    # (w, view of Z(., w)) of the last zw_array call; a nan w equals no argument
     _zw_recent: tuple = (math.nan, None)
     _wcol: np.ndarray | None = None  # W multiplied out of a rescaled table's tilted column
+    # set in __post_init__, so that every read finds them in place
+    v: float = field(init=False)
+    phi: float = field(init=False)
+    _alpha_v: float = field(init=False)  # phi (1 - v) / (v (1 - phi)), nan at v = 1
+    _drift: float = field(init=False)  # 1 - mean, the walk's mean step
+    _wv: memoryview = field(init=False, repr=False)
+    _zv: memoryview = field(init=False, repr=False)
+    _z1v: memoryview = field(init=False, repr=False)
 
-    @property
-    def v(self) -> float:
-        return self.model.v
-
-    @property
-    def phi(self) -> float:
-        return self.model.phi_v
+    def __post_init__(self) -> None:
+        self.v, self.phi = v, phi = self.model.v, self.model.phi_v
+        self._alpha_v = phi * (1.0 - v) / (v * (1.0 - phi)) if v < 1.0 else math.nan
+        self._drift = 1.0 - self.model.dist.mean
+        self._wv, self._zv, self._z1v = map(memoryview, (self._w, self._z, self._z1))
 
     def _refused(self, err: Exception | None, what: str, past: tuple,
                  named: tuple = ()) -> Exception:
-        """The error for a read that item or zw_array refused with err, by the class docstring's
-        order: levels past are range-checked in turn, named (default past) checked as integers."""
+        """The error for a read that a column view or zw_array refused with err, by the class
+        docstring's order: levels past are range-checked in turn, named (default past)
+        checked as integers."""
         for x in past:
             if x > self.x_max:
                 return OutOfTable(f"x = {x} beyond table range 0..{self.x_max}")
@@ -277,7 +288,9 @@ class ScaleTable:
         if x < 0:
             return 0.0
         try:
-            val = self._w.item(x)
+            if x.__class__ is bool:
+                raise TypeError
+            val = self._wv[x]
         except _MISREAD as err:
             raise self._refused(err, "", (x,)) from None
         return self._w_through(x, x).item(x) if self.rescaled else val
@@ -289,7 +302,9 @@ class ScaleTable:
         if x < 0 and y <= self.x_max:  # W(x) = 0 once W(y) is in the table
             return 0.0
         try:
-            ratio = self._w.item(x) / self._w.item(y)
+            if x.__class__ is bool or y.__class__ is bool:
+                raise TypeError
+            ratio = self._wv[x] / self._wv[y]
         except _MISREAD as err:
             raise self._refused(err, "", (y, x), (x, y)) from None
         if not self.rescaled:
@@ -304,7 +319,9 @@ class ScaleTable:
         if b < 0:
             raise DomainError(_NEGATIVE_STEP)
         try:
-            step = self._w.item(b + 1) - self._w.item(b)
+            if b.__class__ is bool:
+                raise TypeError
+            step = self._wv[b + 1] - self._wv[b]
         except _MISREAD as err:
             raise self._refused(err, "", (b + 1,), (b,)) from None
         return self._dw(b, b).item() if self.rescaled else step
@@ -316,7 +333,9 @@ class ScaleTable:
         if x < 0 and b < self.x_max:  # W(x) = 0 once dW(b) is in the table
             return 0.0
         try:
-            wx, wb, wb1 = self._w.item(x), self._w.item(b), self._w.item(b + 1)
+            if x.__class__ is bool or b.__class__ is bool:
+                raise TypeError
+            wx, wb, wb1 = self._wv[x], self._wv[b], self._wv[b + 1]
         except _MISREAD as err:
             raise self._refused(err, "", (b + 1, x), (x, b)) from None
         # dW can round to zero at v = 1 once W saturates; the ratio is then inf
@@ -331,7 +350,9 @@ class ScaleTable:
         if x < 0:
             return 1.0
         try:
-            return self._z.item(x)
+            if x.__class__ is bool:
+                raise TypeError
+            return self._zv[x]
         except _MISREAD as err:
             raise self._refused(err, "Z", (x,)) from None
 
@@ -339,7 +360,9 @@ class ScaleTable:
         if b < 0:
             raise DomainError(_NEGATIVE_STEP)
         try:
-            return self._z.item(b + 1) - self._z.item(b)
+            if b.__class__ is bool:
+                raise TypeError
+            return self._zv[b + 1] - self._zv[b]
         except _MISREAD as err:
             raise self._refused(err, "Z", (b + 1,), (b,)) from None
 
@@ -352,7 +375,9 @@ class ScaleTable:
         if x < 0:
             return float(x)
         try:
-            return self._z1.item(x)
+            if x.__class__ is bool:
+                raise TypeError
+            return self._z1v[x]
         except _MISREAD as err:
             raise self._refused(err, "Z1", (x,)) from None
 
@@ -360,7 +385,9 @@ class ScaleTable:
         if b < 0:
             raise DomainError(_NEGATIVE_STEP)
         try:
-            return self._z1.item(b + 1) - self._z1.item(b)
+            if b.__class__ is bool:
+                raise TypeError
+            return self._z1v[b + 1] - self._z1v[b]
         except _MISREAD as err:
             raise self._refused(err, "Z1", (b + 1,), (b,)) from None
 
@@ -375,7 +402,7 @@ class ScaleTable:
             if len(self._zw) >= _ZW_KEPT:
                 del self._zw[next(iter(self._zw))]  # the least recently used
         self._zw[key] = col
-        self._zw_recent = (key, col)
+        self._zw_recent = (key, memoryview(col))
         return col
 
     def z_at(self, x: int, w: float) -> float:
@@ -387,8 +414,11 @@ class ScaleTable:
         key, col = self._zw_recent
         try:
             if key != w:
-                col = self.zw_array(w)
-            return col.item(x)
+                self.zw_array(w)
+                col = self._zw_recent[1]
+            if x.__class__ is bool:
+                raise TypeError
+            return col[x]
         except (*_MISREAD, DomainError) as err:
             raise self._refused(err, "", (x,)) from None
 
@@ -398,8 +428,11 @@ class ScaleTable:
         key, col = self._zw_recent
         try:
             if key != w:
-                col = self.zw_array(w)
-            return col.item(b + 1) - col.item(b)
+                self.zw_array(w)
+                col = self._zw_recent[1]
+            if b.__class__ is bool:
+                raise TypeError
+            return col[b + 1] - col[b]
         except (*_MISREAD, DomainError) as err:
             raise self._refused(err, "", (b + 1,), (b,)) from None
 
