@@ -171,8 +171,9 @@ class ScaleTable:
 
     One rule for every scalar read (w, w_ratio, w_over_dw, dw, z, dz, z1,
     dz1, z_at, dzw): a level below zero takes its boundary value (W = 0,
-    Z = 1, Z1 = x, Z(x, w) = w^{-x}) unread, a difference index below zero
-    is a DomainError, and any other level is read through a memoryview of
+    Z = 1, Z1 = x, Z(x, w) = w^{-x}) unread, though the other level of
+    w_ratio and w_over_dw is read, a difference index below zero is a
+    DomainError, and any other level is read through a memoryview of
     its column as a Python float, bit for bit the column entry. A level the
     view refuses, or a bool, raises OutOfTable if past x_max, else
     DomainError for a family a rescaled table lacks (or zw_array's refusal
@@ -299,7 +300,8 @@ class ScaleTable:
         """W(x) / W(y), computed stably on rescaled tables."""
         if y < 0:
             raise DomainError("denominator index must be nonnegative")
-        if x < 0 and y <= self.x_max:  # W(x) = 0 once W(y) is in the table
+        if x < 0:  # W(x) = 0, but y is read, and refused, as in any other call
+            self.w_ratio(y, y)
             return 0.0
         try:
             if x.__class__ is bool or y.__class__ is bool:
@@ -309,8 +311,8 @@ class ScaleTable:
             raise self._refused(err, "", (y, x), (x, y)) from None
         if not self.rescaled:
             return ratio
-        try:
-            return ratio * self.phi ** float(y - x)
+        try:  # in floats: a numpy unsigned y - x would wrap below zero
+            return ratio * self.phi ** (float(y) - float(x))
         except OverflowError:
             raise OverflowSignal(f"W({x})/W({y}) exceeds float range") from None
 
@@ -330,7 +332,8 @@ class ScaleTable:
         """W(x) / (W(b+1) - W(b)), stable on rescaled tables."""
         if b < 0:
             raise DomainError(_NEGATIVE_STEP)
-        if x < 0 and b < self.x_max:  # W(x) = 0 once dW(b) is in the table
+        if x < 0:  # W(x) = 0, but b is read, and refused, as in any other call
+            self.w_over_dw(b, b)
             return 0.0
         try:
             if x.__class__ is bool or b.__class__ is bool:
@@ -342,7 +345,7 @@ class ScaleTable:
         if not self.rescaled:
             return _divide(wx, wb1 - wb)
         try:
-            return _divide(wx, wb1 - self.phi * wb) * self.phi ** float(b + 1 - x)
+            return _divide(wx, wb1 - self.phi * wb) * self.phi ** (float(b) + 1.0 - float(x))
         except OverflowError:
             raise OverflowSignal(f"W({x})/dW({b}) exceeds float range") from None
 
@@ -409,7 +412,7 @@ class ScaleTable:
         if x < 0:
             if not 0.0 < w <= 1.0:
                 raise DomainError(f"transform argument {w} outside (0, 1]")
-            return float(w) ** (-x)
+            return float(w) ** -float(x)  # a Python float for a numpy x too
         # the most recently used column needs no move to the end of _zw
         key, col = self._zw_recent
         try:

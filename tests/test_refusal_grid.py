@@ -64,8 +64,8 @@ PINS = {
     "dzw": "9dd0b9740baef88477f22c194528b94773a4cfde89571bfd5a66ded3a09cb875",
     "expected_stopped_z": "23c25db67a949ce0aec9834d14a08ad52b18588de6beef29ee7e5f5948acac49",
     "w": "bb896449874da5d097a3b55d1ab037b3e4dcbac86b469a69e6d89294a855f66d",
-    "w_over_dw": "9b9eed48f8a42e7050ca15f41474bb13ee9e2a865c9d3984b9d61c998f075e42",
-    "w_ratio": "11fda75deabbc7a7cc318ed28cc9847630d682d6ba93e37fed0d6e7fdf631f37",
+    "w_over_dw": "7b0e52da85ef5439ca630ad368b8ca23bf6d222513fc84c6e3b69cb799971ca3",
+    "w_ratio": "1fae77b79f2bd4c0232b647db5d6d627e2b8726ca5c4c10864a036168854cf1d",
     "z": "c01b927fb168375faa1591a08344abdec2d23e6d05ce1a00bd1b562bef62f913",
     "z1": "8d3ccd56dd1766ad1c39b2ada2186fc7d236567a332dfb4536cc3898653246ed",
     "z_at": "4d652b06632010df9894b66e5ba9232c9d3ab46ba5737c1783552998ac037e8e",
@@ -107,11 +107,11 @@ NUMPY_PINS = {
     "dz1": "730413ae5be713a3158650e0600e220f6fb3496bbcd73623d0bde5591223060e",
     "dzw": "bd86ea6cfbd97cb008ccb4218f139efac0d6bc8fccd6e42d4b39a32b92a945a2",
     "w": "b6006faabb5b9e85bd085541e1a7fcfb211c8d45e9e5d4808d2ea43f5ecf92e6",
-    "w_over_dw": "8c6fcbbc26c5c1160dc093b08ac27645541ec0b211ff71b18529fc8dcae7702a",
-    "w_ratio": "2e1633640d454a4e2ae344860feeb4311905c8a61ed298cebd3b1a3267cbe78e",
+    "w_over_dw": "dd561e3b9707bd50584081948522dfeb3d9729157373d1a7ec3f128b52fa7b1f",
+    "w_ratio": "82030656f67e77db96609fcc384a63f7e7f723bb70799f90c56eb6033014a9ef",
     "z": "c428990dab4a85a3ad542280887bc818808d5aea96b0827d3b679dc55f093e0c",
     "z1": "fa022c9a4ac0bc5c5db1391b144349d8d32d2fede29c4dc8806be1641509fe7b",
-    "z_at": "15a0865fd8c027d393b120948393f7a5471e705de94aa20831e9e42777b92ca0",
+    "z_at": "5a2c08ffe15494a4b641c4de883e7ae211997e7cc6955f3395efc71e5b2db5c8",
 }
 
 

@@ -272,6 +272,13 @@ def test_errors_keep_their_type_and_message(call, error, message):
     (lambda: PLAIN.dzw(True, 0.5), "True"),
     (lambda: RESCALED.w(3.5), "3.5"),
     (lambda: RESCALED.w_ratio(2, 2.0), "2.0"),
+    # a level below zero is not read, but the other level is
+    (lambda: PLAIN.w_ratio(-1, 3.5), "3.5"),
+    (lambda: PLAIN.w_ratio(-0.5, True), "True"),
+    (lambda: RESCALED.w_ratio(-2, np.float64(4.0)), "np.float64(4.0)"),
+    (lambda: PLAIN.w_over_dw(-1, 2.0), "2.0"),
+    (lambda: PLAIN.w_over_dw(-1, False), "False"),
+    (lambda: RESCALED.w_over_dw(-2, np.True_), "np.True_"),
     (lambda: pa.two_sided_up(PLAIN, 2.5, 5), "2.5"),
     (lambda: dv.modified_definetti_influence(PLAIN, 2.5, 1.2), "2.5"),
 ])
@@ -286,6 +293,14 @@ def test_numpy_integer_levels_read_like_ints():
         assert PLAIN.w(np.int64(x)) == PLAIN.w(x)
         assert PLAIN.dz1(np.int32(x)) == PLAIN.dz1(x)
         assert PLAIN.w_ratio(np.int64(x), np.int16(10)) == PLAIN.w_ratio(x, 10)
+    # a rescaled read takes phi to y - x, which unsigned numpy levels would wrap
+    for table in (PLAIN, RESCALED):
+        for x, y in ((10, 3), (3, 7), (0, 9)):
+            _same([table.w_ratio(x, np.uint64(y)), table.w_ratio(np.uint64(x), y),
+                   table.w_over_dw(x, np.uint64(y)), table.w_over_dw(np.uint64(x), y)],
+                  [table.w_ratio(x, y)] * 2 + [table.w_over_dw(x, y)] * 2)
+    # a numpy level below zero gives the boundary value as a Python float
+    _same([PLAIN.z_at(np.int8(-1), 0.5), PLAIN.z_at(np.int64(-3), 0.25)], [0.5, 0.015625])
 
 
 def test_recent_zw_column_is_read_in_place():
