@@ -244,6 +244,29 @@ def eventual_survival_transform(dist: ClaimDistribution, z: float) -> float:
     return (1.0 - m) / (dist.pgf(z) - z)
 
 
+def _horizon(n) -> int:
+    """n as a Python int; a DomainError if it is below zero, else if not an integer."""
+    if n < 0:
+        raise DomainError("horizon must be nonnegative")
+    if n.__class__ is bool or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"horizon {n!r} is not an integer")
+    return int(n)
+
+
+def _start(table: ScaleTable, x, n: int, what: str = "") -> int:
+    """A start x >= 0 as a Python int, refused by the table's read rule before
+    the DP runs: x + n past x_max, then a column what a rescaled table lacks,
+    then an x that is not an integer."""
+    if isinstance(x, np.integer):
+        x = int(x)  # x + n in Python ints, which do not wrap or overflow
+    if table.x_max < x + n:
+        raise OutOfTable(f"need the table up to x + n = {x + n}")
+    err = table._refused(None, what, (), (x,))
+    if err is not None:
+        raise err
+    return x
+
+
 def _stopped_dp(table: ScaleTable, x: int, n: int, w: float | None):
     """Mass evolution of the walk killed at ruin, with exact tail sums.
 
@@ -251,10 +274,6 @@ def _stopped_dp(table: ScaleTable, x: int, n: int, w: float | None):
     absorbed value). The absorbed value is zero when w is None and
     v^t * w^(-deficit) summed exactly otherwise.
     """
-    if n < 0:
-        raise DomainError("horizon must be nonnegative")
-    if table.x_max < x + n:
-        raise OutOfTable(f"need the table up to x + n = {x + n}")
     model = table.model
     v = model.v
     levels = x + n + 1
@@ -277,21 +296,31 @@ def expected_stopped_w(table: ScaleTable, x: int, n: int) -> float:
     """Exact E_x[v^(n and tau) * W(X at n and tau)] over n steps.
 
     The stopped, discounted W sequence is a martingale, so the result
-    should reproduce W(x) for every horizon; useful as an oracle.
+    should reproduce W(x) for every horizon; useful as an oracle. The
+    horizon n is checked first, then a start x >= 0 by the table's read
+    rule, and W(0..x+n) is read before the DP runs.
     """
+    n = _horizon(n)
     if x < 0:
         return 0.0
+    x = _start(table, x, n)
+    vals = table._w_through(0, x + n)[: x + n + 1]
     q, _, disc = _stopped_dp(table, x, n, None)
-    vals = table._w_through(0, len(q) - 1)[: len(q)]
     return float(disc * np.dot(q, vals))
 
 
 def expected_stopped_z(table: ScaleTable, x: int, w: float, n: int) -> float:
-    """Exact E_x[v^(n and tau) * Z(X at n and tau, w)] over n steps."""
-    if not 0.0 < w <= 1.0:  # the DP sums w's tail terms before it reads a column
+    """Exact E_x[v^(n and tau) * Z(X at n and tau, w)] over n steps.
+
+    Checks w, then n and x as expected_stopped_w does, so that a rescaled
+    table, which has no Z(., w) column, is refused before the DP runs.
+    """
+    if not 0.0 < w <= 1.0:
         raise DomainError(f"transform argument {w} outside (0, 1]")
+    n = _horizon(n)
     if x < 0:
         return table.z_at(x, w)
+    x = _start(table, x, n, "Z(., w)")
+    vals = table.zw_array(w)[: x + n + 1]
     q, absorbed, disc = _stopped_dp(table, x, n, w)
-    vals = table.zw_array(w)[: len(q)]
     return float(disc * np.dot(q, vals) + absorbed)

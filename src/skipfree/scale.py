@@ -212,10 +212,10 @@ class ScaleTable:
         self._wv, self._zv, self._z1v = map(memoryview, (self._w, self._z, self._z1))
 
     def _refused(self, err: Exception | None, what: str, past: tuple,
-                 named: tuple = ()) -> Exception:
+                 named: tuple = ()) -> Exception | None:
         """The error for a read that a column view or zw_array refused with err, by the class
         docstring's order: levels past are range-checked in turn, named (default past)
-        checked as integers."""
+        checked as integers. With err None, None if no rule refuses."""
         for x in past:
             if x > self.x_max:
                 return OutOfTable(f"x = {x} beyond table range 0..{self.x_max}")

@@ -12,8 +12,10 @@ import pytest
 
 from skipfree import (
     DomainError,
+    DiscountedModel,
     NoConvergence,
     OutOfTable,
+    OverflowSignal,
     deficit_gf,
     discounted_ruin,
     discounted_ruin_gf,
@@ -34,7 +36,8 @@ from skipfree import (
     w_at_downcrossing,
     w_table,
 )
-from skipfree.golden import cached_table
+from skipfree import passage
+from skipfree.golden import cached_table, four_point_model
 
 
 def _value_iterate(dist, v, w, b, sweeps=3000):
@@ -256,6 +259,42 @@ def test_expected_stopped_are_martingales(three_tab_09):
         )
     with pytest.raises(OutOfTable):
         expected_stopped_w(t, 115, 10)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: expected_stopped_z(t, 3, 0.5, 3.5), DomainError, "horizon 3.5 is not an integer"),
+    (lambda t: expected_stopped_w(t, 3, True), DomainError, "horizon True is not an integer"),
+    (lambda t: expected_stopped_z(t, -1, 0.5, 2.0), DomainError, "horizon 2.0 is not an integer"),
+    (lambda t: expected_stopped_w(t, -1, -1), DomainError, "horizon must be nonnegative"),
+    (lambda t: expected_stopped_w(t, 2.0, 3), DomainError, "level 2.0 is not an integer"),
+    (lambda t: expected_stopped_z(t, True, 0.5, 3), DomainError, "level True is not an integer"),
+    (lambda t: expected_stopped_z(t, np.int64(4), 0.5, 2**70), OutOfTable,
+     f"need the table up to x + n = {2**70 + 4}"),
+    (lambda t: expected_stopped_w(t, 2**70, np.int64(4)), OutOfTable,
+     f"need the table up to x + n = {2**70 + 4}"),
+    (lambda t: expected_stopped_w(t, 3.5, 2**70), OutOfTable,
+     f"need the table up to x + n = {3.5 + 2**70}"),
+])
+def test_expected_stopped_refuse_bad_levels(three_tab_09, call, error, message):
+    with pytest.raises(error) as info:
+        call(three_tab_09)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_expected_stopped_refuse_a_rescaled_table_before_the_dp(monkeypatch):
+    # the four-point W leaves float range at 1752 on this table
+    rescaled = w_table(DiscountedModel(four_point_model(), 0.8), 2002, rescaled=True)
+
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(passage, "_stopped_dp", no_dp)
+    with pytest.raises(DomainError, match=r"Z\(\., w\) is unavailable on a rescaled table"):
+        expected_stopped_z(rescaled, 0, 0.5, 2002)
+    with pytest.raises(DomainError, match="Z"):
+        expected_stopped_z(rescaled, 2.0, 0.5, 3)
+    with pytest.raises(OverflowSignal, match=r"W\(1752\) exceeds float range"):
+        expected_stopped_w(rescaled, 0, 2002)
 
 
 def test_ruin_limit_ratio_routes_agree(three_tab_09):
