@@ -53,7 +53,7 @@ class BarrierResult:
 
 
 def _check_not_degenerate(table: ScaleTable) -> None:
-    if table.v == 1.0 and table.model.dist.tail(1) == 0.0:
+    if table._dividends_diverge:
         raise Degenerate(
             "claims never exceed 1 and v = 1: the barrier is never breached "
             "downward and dividend values diverge"

@@ -201,6 +201,8 @@ class ScaleTable:
     phi: float = field(init=False)
     _alpha_v: float = field(init=False)  # phi (1 - v) / (v (1 - phi)), nan at v = 1
     _drift: float = field(init=False)  # 1 - mean, the walk's mean step
+    # v = 1 and no claim exceeds 1: the walk never drops below a barrier
+    _dividends_diverge: bool = field(init=False)
     _wv: memoryview = field(init=False, repr=False)
     _zv: memoryview = field(init=False, repr=False)
     _z1v: memoryview = field(init=False, repr=False)
@@ -209,6 +211,7 @@ class ScaleTable:
         self.v, self.phi = v, phi = self.model.v, self.model.phi_v
         self._alpha_v = phi * (1.0 - v) / (v * (1.0 - phi)) if v < 1.0 else math.nan
         self._drift = 1.0 - self.model.dist.mean
+        self._dividends_diverge = v == 1.0 and self.model.dist.tail(1) == 0.0
         self._wv, self._zv, self._z1v = map(memoryview, (self._w, self._z, self._z1))
 
     def _refused(self, err: Exception | None, what: str, past: tuple,
