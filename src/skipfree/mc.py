@@ -22,6 +22,14 @@ reflected (the excess injected or paid at once) or absorbed before any
 draw. Paths keep their own clocks, and each score reads the discount
 v^t of its own paths.
 
+A run reads the discounts v^k, and the geometric sums sum_{j<k} v^j of
+a climb's dividends, from two tables it makes once, on k = 0..min(cap,
+n_paths), with the largest cap when each path has its own. A table
+entry is the float the same numpy expression gives on the time itself,
+so a read changes no bit; a time or a run past the end is computed as
+it stands. The bound keeps the tables no larger than the arrays the
+paths already hold, whatever the cap.
+
 Each functional names the tallies it reads (discounted dividends,
 dividend count, injection count, discounted injections, discounted
 visits to a state), and the kernel keeps only those. Functionals that
@@ -280,6 +288,14 @@ _KINDS = {
 _COUNT = _Kind("reflect_upper", (), _RUIN_ONLY, ("paid",), below=_PAID, at_cap=_PAID)
 
 
+def _tabled(f, size: int):
+    """f read from a table of f(0..size-1), made once: the same floats as f gives,
+    for the same numpy expression, without recomputing them. An argument past the
+    table's end calls f on the whole array."""
+    table = f(np.arange(size))
+    return lambda k: table[k] if not k.size or k.max() < size else f(k)
+
+
 def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
     """The event kernel: each kind's value on every path (in the order
     the paths stop), the number of paths still running at their cap, the
@@ -302,19 +318,28 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
     excess = max(x0 - b, 0) if at_b else 0
     x = np.full(n_paths, x0 - excess, dtype=np.int64)
     t = np.zeros(n_paths, dtype=np.int64)
-    cap = np.broadcast_to(np.asarray(cap, dtype=np.int64), (n_paths,))
+    cap = np.asarray(cap, dtype=np.int64)  # a scalar, or one per path
+    # v^k and the climb's geometric sum of n dividends, sum_{j<n} v^j, on
+    # 0..min(cap, n_paths): no table outgrows the arrays of the paths
+    size = min(int(cap.max()), n_paths) + 1
+    disc = _tabled(lambda k: v ** k, size)
+    geo = _tabled((lambda n: n.astype(float)) if log_v == 0.0
+                  else (lambda n: np.expm1(n * log_v) / math.expm1(log_v)), size)
     tally = {name: np.full(n_paths, excess if name in ("div", "paid") else 0,
                            dtype=np.int64 if name in _INT_TALLIES else float)
              for name in names}
     n_capped = path_steps = claim_draws = 0
 
     def score(which, hit):
+        nonlocal path_steps
         sub = {k: a[hit] for k, a in tally.items()}
-        disc = v ** t[hit]
+        th = t[hit]
+        path_steps += int(th.sum())
+        d, xh = disc(th), x[hit]
         for out, fn, kind in zip(scores, fns, kinds):
             fun = getattr(kind, which)
             out.append(np.zeros(hit.size) if fun is None
-                       else np.broadcast_to(fun(fn, disc, x[hit], sub), hit.shape))
+                       else np.broadcast_to(fun(fn, d, xh, sub), hit.shape))
 
     while x.size:
         # the events of each path's epoch: the start, a claim or the cap
@@ -323,22 +348,30 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
             if "inj" in tally:
                 tally["inj"][hit] += under
             if "bail" in tally:
-                tally["bail"][hit] += v ** t[hit] * under
+                tally["bail"][hit] += disc(t[hit]) * under
             x[hit] = 0
-        stopped = np.zeros(x.size, dtype=bool)
+        stopped = None  # made when the first path stops
         for which, level, cross in (("above", upper, np.greater_equal),
                                     ("below", lower, np.less_equal)):
             if level is not None and (hit := np.flatnonzero(cross(x, level))).size:
                 score(which, hit)
+                if stopped is None:
+                    stopped = np.zeros(x.size, dtype=bool)
                 stopped[hit] = True
-        if (hit := np.flatnonzero((t >= cap) & ~stopped)).size:
+        hit = np.flatnonzero(t >= cap)
+        if stopped is not None and hit.size:
+            hit = hit[~stopped[hit]]
+        if hit.size:
             score("at_cap", hit)
             n_capped += hit.size
+            if stopped is None:
+                stopped = np.zeros(x.size, dtype=bool)
             stopped[hit] = True
-        if stopped.any():
-            path_steps += int(t[stopped].sum())
+        if stopped is not None:
             keep = np.flatnonzero(~stopped)
-            x, t, cap = x[keep], t[keep], cap[keep]
+            x, t = x[keep], t[keep]
+            if cap.ndim:
+                cap = cap[keep]
             tally = {k: a[keep] for k, a in tally.items()}
             if not x.size:
                 break
@@ -347,33 +380,31 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
         end = cap - t
         if upper is not None:
             np.minimum(end, upper - x, out=end)
-        claim = climb < end
-        climb = np.minimum(climb, end, out=climb).astype(np.int64)
+        # the float the comparison with a float climb casts end to, cast once
+        limit = end.astype(float)
+        claim = climb < limit
+        climb = np.minimum(climb, limit, out=climb).astype(np.int64)
         if "visits" in tally:
             # the free walk passes the target s steps on, s = 0 being the epoch itself
             s = target - x
             hit = np.flatnonzero((s >= 0) & (s <= climb) & (s < end))
-            tally["visits"][hit] += v ** (t[hit] + s[hit])
+            tally["visits"][hit] += disc(t[hit] + s[hit])
         # temporaries are dropped as soon as they are read: the peak memory
         # of a run is reached in this part of the loop
-        del end
+        del end, limit
         x += climb
         t += climb
         del climb
         if at_b:
             # paid at b on each step of the climb after the one reaching it,
             # the n steps t - n + 1, ..., t: a geometric sum of v^s
-            paid = x - b
-            np.maximum(paid, 0, out=paid)
             if "div" in tally:
-                hit = np.flatnonzero(paid)
-                n = paid[hit]
-                amount = (n.astype(float) if log_v == 0.0
-                          else np.expm1(n * log_v) / math.expm1(log_v))
-                amount *= v ** (t[hit] - n + 1)
-                tally["div"][hit] += amount
+                hit = np.flatnonzero(x > b)
+                n = x[hit] - b
+                tally["div"][hit] += geo(n) * disc(t[hit] - n + 1)
             if "paid" in tally:
-                tally["paid"] += paid
+                paid = x - b
+                tally["paid"] += np.maximum(paid, 0, out=paid)
             np.minimum(x, b, out=x)
         if (hit := np.flatnonzero(claim)).size:
             x[hit] += 1 - sampler.draw_positive(rng.random(hit.size))

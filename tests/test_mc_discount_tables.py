@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 
 from skipfree import FunctionalSpec, PolicySpec, simulate, validate
+from skipfree import mc
 from skipfree.mc import _dividend_counts
 
 THREE = validate(["2/3", "2/9", "0", "1/9"])
@@ -98,3 +99,24 @@ def test_a_huge_cap_allocates_no_table_of_its_size():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("case, n_paths, cap, size", [
+    ("doubly_value", 50, None, 51), ("doubly_value", 50, 10, 11), ("one_atom", 3, 10**12, 4)])
+def test_the_tables_hold_at_most_n_paths_plus_one_floats(monkeypatch, case, n_paths, cap, size):
+    sizes = []
+    tabled = mc._tabled
+    monkeypatch.setattr(mc, "_tabled", lambda f, n: sizes.append(n) or tabled(f, n))
+    dist, x0, policy, fn = CASES.get(case) or (
+        ONE_ATOM, 0, PolicySpec("reflect_upper", 3), FunctionalSpec("dividends_pv", v=0.9))
+    simulate(dist, x0, policy, fn, n_paths, 7, cap, 3)
+    assert sizes == [size, size]
+
+
+def test_killed_counts_size_their_tables_by_the_paths(monkeypatch):
+    sizes = []
+    tabled = mc._tabled
+    monkeypatch.setattr(mc, "_tabled", lambda f, n: sizes.append(n) or tabled(f, n))
+    # the largest of the 50 killing times is far past 50
+    _dividend_counts(FOUR, 3, 0.999, 1, 50, 7, 3)
+    assert sizes == [51, 51]
