@@ -14,7 +14,9 @@ Each subcommand accepts only the flags it reads:
 
 Exit codes: 0 on success, 1 when a golden check or MC concordance
 fails (a NaN z or p fails too), 2 on configuration errors, unknown
-flags included (message on standard error, no partial output).
+flags included (message on standard error, no partial output). A reader
+that closes standard output early (| head) refuses nothing: the output
+stops there, and the exit code is 0 with nothing on standard error.
 
 ruin --rescaled helps only at v = 1, where ruin reads W alone. At v < 1
 discounted ruin reads Z, which a rescaled table lacks, so it exits 2 with
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -262,7 +265,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "xmax", 0) < 0:
             raise UsageError("--xmax must be nonnegative")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (SkipfreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

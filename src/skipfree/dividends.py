@@ -152,37 +152,40 @@ def bailout_value_reflected(table: ScaleTable, b: int, x: int) -> float:
     return _divide(table.w(x) * table.dz1(b), table.dw(b)) - table.z1(x)  # dW(b) = 0 at v = 1
 
 
-def _check_influence(objective: str, table: ScaleTable, k: float) -> None:
-    if objective == "modified_definetti":
-        if k < 0.0:
-            raise DomainError("penalty factor k must be nonnegative")
-        _check_not_degenerate(table)
-    if objective == "doubly_reflected" and table.v >= 1.0:
+def _check_penalty(table: ScaleTable, k: float) -> None:
+    if k < 0.0:
+        raise DomainError("penalty factor k must be nonnegative")
+    _check_not_degenerate(table)
+
+
+def _check_discounted(table: ScaleTable, k: float) -> None:
+    if table.v >= 1.0:
         raise DomainError("doubly reflected influence needs v < 1")
 
 
 def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) -> np.ndarray:
     """H(b) of an objective on b = lo..hi. Where dW rounds to 0 as W saturates at
     v = 1, though the exact difference is positive, H is +-inf (nan at 0 / 0)."""
-    _check_influence(objective, table, k)
+    reads, formula, check, _ = _SCAN[objective]
+    if check:
+        check(table, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _SCAN[objective][0](k, lambda name: getattr(table, "_" + name)(lo, hi))
+        return formula(k, *[getattr(table, "_" + name)(lo, hi) for name in reads])
 
 
-def _influence_at(objective: str, table: ScaleTable, k: float, b: int) -> float:
-    """H(b) of an objective at one b: its scan formula on the Python floats
-    of the scalar increments, or the scan itself where a difference is 0."""
-    _check_influence(objective, table, k)
-    try:  # a numpy k would make a zero division warn, not raise
-        return _SCAN[objective][0](float(k), lambda name: getattr(table, name)(b))
-    except ZeroDivisionError:
-        return float(_influence(objective, table, k, b, b)[0])
-
+# A scalar influence checks its table and k, then applies its _SCAN formula to
+# the Python floats of the increments _SCAN names, read in that order; where a
+# difference is 0 it takes the scan's value at b, numpy's inf or nan. A numpy k
+# is made a float, whose zero division raises rather than warns.
 
 def modified_definetti_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dW(b) of the dividends-minus-
     k-times-deficit objective; maximize over b."""
-    return _influence_at("modified_definetti", table, k, b)
+    _check_penalty(table, k)
+    try:
+        return _SCAN["modified_definetti"][1](float(k), table.dz1(b), table.dw(b))
+    except ZeroDivisionError:
+        return float(_influence("modified_definetti", table, k, b, b)[0])
 
 
 def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> float:
@@ -192,8 +195,8 @@ def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> flo
     boundary conventions extend to x < 0 as well.
     """
     h = modified_definetti_influence(table, b, k)
-    xm = min(x, b)
-    return float(max(x - b, 0)) + table.w(xm) * h + k * table.z1(xm)
+    xm = b if b < x else x  # min(x, b), and below max(x - b, 0), without the calls
+    return (0.0 if x < b else float(x - b)) + table.w(xm) * h + k * table.z1(xm)
 
 
 def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, float]:
@@ -217,7 +220,11 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
 def doubly_reflected_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dZ(b) of dividends minus k times
     bailouts under double reflection; maximize over b."""
-    return _influence_at("doubly_reflected", table, k, b)
+    _check_discounted(table, k)
+    try:
+        return _SCAN["doubly_reflected"][1](float(k), table.dz1(b), table.dz(b))
+    except ZeroDivisionError:
+        return float(_influence("doubly_reflected", table, k, b, b)[0])
 
 
 def doubly_reflected_influence_affine(table: ScaleTable, b: int, k: float) -> float:
@@ -234,8 +241,8 @@ def doubly_reflected_influence_affine(table: ScaleTable, b: int, k: float) -> fl
 def doubly_reflected_value(table: ScaleTable, b: int, x: int, k: float) -> float:
     """Dividends minus k times bailouts, double reflection, barrier b."""
     h = doubly_reflected_influence(table, b, k)
-    xm = min(x, b)
-    return float(max(x - b, 0)) + table.z(xm) * h + k * table.z1(xm)
+    xm = b if b < x else x  # as in modified_definetti_value
+    return (0.0 if x < b else float(x - b)) + table.z(xm) * h + k * table.z1(xm)
 
 
 def _strict_local_minima(vals) -> list[int]:
@@ -260,16 +267,19 @@ def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
     return _strict_local_minima(table._dw(0, b_max))
 
 
-# objective -> (H(b), one expression in the increments d("dw"), d("dz") and
-# d("dz1") of W, Z and Z1, which the scan evaluates on arrays and the
-# scalar influences on floats; value(table, b, x, k)); the values are
+# objective -> (the increments H(b) reads, in order, among dw, dz and dz1 of
+# W, Z and Z1; H(b), one expression in k and those increments, which the scan
+# evaluates on arrays and the scalar influences on floats; the check of table
+# and k both make first, or None; value(table, b, x, k)). The values are
 # called by module name, so rebinding one here also reaches the scan
 _SCAN = {
-    "definetti": (lambda k, d: 1.0 / d("dw"),
+    "definetti": (("dw",), lambda k, dw: 1.0 / dw, None,
                   lambda t, b, x, k: definetti_value(t, b, x)),
-    "modified_definetti": (lambda k, d: (1.0 - k * d("dz1")) / d("dw"),
+    "modified_definetti": (("dz1", "dw"), lambda k, dz1, dw: (1.0 - k * dz1) / dw,
+                           _check_penalty,
                            lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
-    "doubly_reflected": (lambda k, d: (1.0 - k * d("dz1")) / d("dz"),
+    "doubly_reflected": (("dz1", "dz"), lambda k, dz1, dz: (1.0 - k * dz1) / dz,
+                         _check_discounted,
                          lambda t, b, x, k: doubly_reflected_value(t, b, x, k)),
 }
 OBJECTIVES = tuple(_SCAN)
@@ -298,7 +308,7 @@ def optimize_barrier(
     # an infinite best means the table stopped resolving dW: the scan
     # cannot certify an interior maximum
     attained = b_star < b_max - rim and math.isfinite(best)
-    value = _SCAN[objective][1](table, b_star, x, k)
+    value = _SCAN[objective][3](table, b_star, x, k)
     return BarrierResult(
         objective=objective,
         k=k,

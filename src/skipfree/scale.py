@@ -519,7 +519,7 @@ def dickson_hipp_z(model: DiscountedModel, w: float, x: int) -> float:
     if not 0.0 < w < f:
         raise DomainError(f"need 0 < w < phi_v = {f}; got w = {w}")
     if x < 0:
-        return float(w) ** (-x)
+        return float(w) ** -float(x)  # a Python float for a numpy x too
     a_const = asymptotic_constant(model)
     if math.isinf(a_const):
         raise DomainError(

@@ -255,3 +255,23 @@ def test_rescaled_scan_past_float_range_names_first_level(gsy_file, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: W(1752) exceeds float range\n"
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_a_reader_closing_stdout_early_is_not_an_error(tmp_path, lines_read):
+    # `skipfree ruin ... | head -1`: the write or the flush meets a closed pipe
+    geo = tmp_path / "geo.json"
+    geo.write_text(json.dumps({"type": "modified_geometric", "p0": 0.6, "p1": 0.24,
+                               "alpha": 0.4}))
+    src = os.path.dirname(os.path.dirname(skipfree.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "skipfree.cli", "ruin", "--v", "0.9",
+         "--xmax", "2000", "--model", str(geo)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert proc.stdout.readline() == b"x,ruin\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

@@ -162,6 +162,12 @@ def test_dickson_hipp_route_to_z(three_tab_09):
         dickson_hipp_z(crit, 0.5, 3)
 
 
+@pytest.mark.parametrize("x, want", [(-1, 0.5), (np.int8(-1), 0.5), (np.int64(-3), 0.125)])
+def test_dickson_hipp_below_zero_is_a_python_float(three_point, x, want):
+    z = dickson_hipp_z(DiscountedModel(three_point, 0.9), 0.5, x)
+    assert type(z) is float and z == want
+
+
 def test_killing_equivalence(three_tab_09):
     """W at discount v equals the undiscounted W of the killed and
     tilted claim law, up to the tilt factor phi^(x+1) / v."""

@@ -15,8 +15,11 @@ import pytest
 
 from skipfree import DiscountedModel, OverflowSignal, modified_geometric, w_table
 from skipfree.dividends import (
+    _influence,
     doubly_reflected_influence,
+    doubly_reflected_value,
     modified_definetti_influence,
+    modified_definetti_value,
     multiband_diagnostics,
     optimize_barrier,
 )
@@ -100,6 +103,32 @@ def test_saturated_scan_with_inf_and_nan_entries():
     assert math.inf in trace and -math.inf in trace
     assert np.array_equal(_bits(trace), _bits(
         [_quotient(1.0 - k * t.dz1(b), t.dw(b)) for b in range(b_max + 1)]))
+
+
+@pytest.mark.parametrize("law", ["three_point", "modgeom"])
+def test_scalar_values_read_the_scan_column_bit_for_bit(law, request):
+    # at v = 1, W saturates and dW rounds to 0 well before b = 600, where the
+    # scalar influence falls back to the scan's inf; v = 0.999 for double reflection
+    dist, b_max, k = request.getfixturevalue(law), 600, 1.2
+    # objective, v, its scalar influence and value, the column its value weighs H by
+    for objective, v, influence, value, col in (
+            ("modified_definetti", 1.0, modified_definetti_influence,
+             modified_definetti_value, "w"),
+            ("doubly_reflected", 0.999, doubly_reflected_influence,
+             doubly_reflected_value, "z")):
+        t = w_table(DiscountedModel(dist, v), b_max + 1)
+        scan = _influence(objective, t, k, 0, b_max).tolist()
+        if v == 1.0:
+            assert t.dw(b_max) == 0.0 and scan[b_max] == math.inf
+        assert np.array_equal(_bits([influence(t, b, k) for b in range(b_max + 1)]),
+                              _bits(scan))
+        read = getattr(t, col)
+        for x in (-3, 0, 7, 300, b_max + 5):
+            want = [float(max(x - b, 0)) + read(min(x, b)) * scan[b] + k * t.z1(min(x, b))
+                    for b in range(b_max + 1)]
+            got = [value(t, b, x, k) for b in range(b_max + 1)]
+            assert all(type(g) is float for g in got)
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_rescaled_definetti_scan_equals_per_b_influence(four_point):
