@@ -22,9 +22,10 @@ reflected (the excess injected or paid at once) or absorbed before any
 draw. Paths keep their own clocks, and each score reads the discount
 v^t of its own paths.
 
-A run reads the discounts v^k, and the geometric sums sum_{j<k} v^j of
-a climb's dividends, from two tables it makes once, on k = 0..min(cap,
-n_paths), with the largest cap when each path has its own. A table
+A run reads the discounts v^k, and where it tallies discounted
+dividends the geometric sums sum_{j<k} v^j of a climb's dividends, from
+tables it makes once, on k = 0..min(cap, n_paths), with the largest cap
+when each path has its own. A table
 entry is the float the same numpy expression gives on the time itself,
 so a read changes no bit; a time or a run past the end is computed as
 it stands. The bound keeps the tables no larger than the arrays the
@@ -323,11 +324,12 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
     # 0..min(cap, n_paths): no table outgrows the arrays of the paths
     size = min(int(cap.max()), n_paths) + 1
     disc = _tabled(lambda k: v ** k, size)
-    geo = _tabled((lambda n: n.astype(float)) if log_v == 0.0
-                  else (lambda n: np.expm1(n * log_v) / math.expm1(log_v)), size)
     tally = {name: np.full(n_paths, excess if name in ("div", "paid") else 0,
                            dtype=np.int64 if name in _INT_TALLIES else float)
              for name in names}
+    if "div" in tally:
+        geo = _tabled((lambda n: n.astype(float)) if log_v == 0.0
+                      else (lambda n: np.expm1(n * log_v) / math.expm1(log_v)), size)
     n_capped = path_steps = claim_draws = 0
 
     def score(which, hit):
