@@ -15,7 +15,7 @@ import pytest
 
 from skipfree import DiscountedModel, validate, w_table
 from skipfree.golden import four_point_model
-from skipfree.scale import _BLOCK, _w_array, _w_array_alt, z_table_w
+from skipfree.scale import _BLOCK, _LD, _store, _w_array, _w_array_alt, z_table_w
 
 HEAVY = validate(["1/2", "0", "0", "1/2"])
 
@@ -78,3 +78,23 @@ def test_the_cases_reach_each_branch_of_the_block_test():
 def test_a_table_whose_last_block_sum_overflows_builds():
     t = w_table(DiscountedModel(four_point_model(), 0.9), 2869)
     assert _digest(t.w_array()) == CASES[(four_point_model, 0.9, 2869)][0][0]
+
+
+# extended-precision entries, written as strings: 1e400 is finite there
+@pytest.mark.parametrize("blk, ok, first_inf", [
+    (["1", "2", "3"], True, None),
+    (["1.7e308", "1.7e308", "1"], True, None),  # the sum overflows, no entry does
+    (["1", "1.7e308", "1e400", "2"], False, 2),  # past float range in mid-block
+    (["1", "nan", "2"], False, 1),
+    (["1e400", "1"], False, 0),
+])
+def test_store_rounds_a_block_and_flags_its_first_value_past_float_range(blk, ok, first_inf):
+    out, floats = np.zeros(8), np.array(blk, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _store(out, 3, np.array(blk, dtype=_LD)) is ok
+    assert (out[:3] == 0.0).all()
+    if first_inf is None:
+        assert np.array_equal(out[3: 3 + len(blk)], floats) and (out[3 + len(blk):] == 0.0).all()
+    else:
+        assert np.array_equal(out[3: 3 + first_inf], floats[:first_inf])
+        assert np.isinf(out[3 + first_inf:]).all()
