@@ -2,10 +2,10 @@
 
 A run reads v^t, and the geometric sum of a climb's dividends, from
 tables of at most n_paths + 1 entries; a time or a run past their end
-is computed as before. These pins were recorded before the tables
-existed, so each case below pins the old arithmetic bit for bit, on
-paths whose clocks and climbs run far past the tables: 50 paths at
-v = 0.999, whose default horizon is 29,919 steps.
+is computed directly. Each case pins, bit for bit, the estimate that
+computing every discount directly gives, on paths whose clocks and
+climbs run far past the tables: 50 paths at v = 0.999, whose default
+horizon is 29,919 steps.
 """
 
 import tracemalloc

@@ -2,9 +2,9 @@
 
 The recursions solve 32 levels at a time and round each block into the
 float column; from the first value past float range on, the column
-reads inf. The pins below were recorded before the per-block test
-changed, and cover a first inf in the middle of a block and blocks whose
-entries are all finite while their sum is not.
+reads inf. A block is scanned for that value only when its sum is not
+finite. The pins cover a first inf in the middle of a block and blocks
+whose entries are all finite while their sum is not.
 """
 
 import hashlib
