@@ -33,9 +33,9 @@ paths already hold, whatever the cap.
 
 Each functional names the tallies it reads (discounted dividends,
 dividend count, injection count, discounted injections, discounted
-visits to a state), and the kernel keeps only those. Functionals that
-share the policy, band, law, start, v and cap can be scored from one
-pass; the registry runs its three doubly-reflected rows that way.
+visits to a state), and the kernel keeps only those. simulate scores a
+group of functionals sharing their dynamics in one pass, as the registry's
+doubly-reflected rows; the registry's tables come from golden.cached_table.
 
 Geometric killing at rate 1 - v is applied analytically (each period
 contributes a factor v), except for the killed dividend count, whose law
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -415,9 +416,30 @@ def _run(sampler, x0, fns, kinds, n_paths, rng, cap, b):
     return [np.concatenate(s) for s in scores], n_capped, path_steps, claim_draws
 
 
-def _simulate(dist, x0, policy, fns, n_paths, seed, horizon_cap, stream):
-    """Validate, run the kernel once for the functionals fns, and return
-    one estimate per functional."""
+def simulate(
+    dist: ClaimDistribution,
+    x0: int,
+    policy: PolicySpec,
+    functional: FunctionalSpec | tuple[FunctionalSpec, ...],
+    n_paths: int,
+    seed: int,
+    horizon_cap: int | None = None,
+    stream: int = 0,
+) -> MCEstimate | list[MCEstimate]:
+    """Estimate the functional along n_paths simulated paths.
+
+    Deterministic: the same arguments always produce bit-identical
+    results. Distinct stream values give independent estimates under
+    the same seed. When horizon_cap is omitted it is derived from the
+    discount factor (v < 1 only; undiscounted runs must cap explicitly).
+
+    A tuple of functionals sharing v, level, upper and target_state is
+    scored from one pass, as a list of estimates in order, each bit for
+    bit the estimate of that functional alone.
+    """
+    fns = (functional,) if isinstance(functional, FunctionalSpec) else tuple(functional)
+    if not fns:
+        raise InvalidFunctional("no functional to score")
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
     if horizon_cap is None:
@@ -441,27 +463,8 @@ def _simulate(dist, x0, policy, fns, n_paths, seed, horizon_cap, stream):
         raise InvalidFunctional("grouped functionals must share v, level, upper and target")
     values, capped, steps, claims = _run(_ClaimSampler(dist), x0, fns, kinds, n_paths,
                                          _rng(seed, stream), horizon_cap, policy.b)
-    return [_estimate(vals, seed, horizon_cap, capped, steps, claims) for vals in values]
-
-
-def simulate(
-    dist: ClaimDistribution,
-    x0: int,
-    policy: PolicySpec,
-    functional: FunctionalSpec,
-    n_paths: int,
-    seed: int,
-    horizon_cap: int | None = None,
-    stream: int = 0,
-) -> MCEstimate:
-    """Estimate the functional along n_paths simulated paths.
-
-    Deterministic: the same arguments always produce bit-identical
-    results. Distinct stream values give independent estimates under
-    the same seed. When horizon_cap is omitted it is derived from the
-    discount factor (v < 1 only; undiscounted runs must cap explicitly).
-    """
-    return _simulate(dist, x0, policy, (functional,), n_paths, seed, horizon_cap, stream)[0]
+    estimates = [_estimate(vals, seed, horizon_cap, capped, steps, claims) for vals in values]
+    return estimates[0] if isinstance(functional, FunctionalSpec) else estimates
 
 
 def _dividend_counts(dist, b, v, x0, n_paths, seed, stream):
@@ -554,7 +557,6 @@ def _sim(dist, x0, policy, kind, cap=None, **spec):
     """A registry estimate: the functional kind(**spec) simulated from
     x0 under policy, capped at cap or else at the default horizon."""
     fn = FunctionalSpec(kind, **spec)
-    cap = default_horizon_cap(fn.v) if cap is None else cap
     return lambda seed, n, stream: simulate(dist, x0, policy, fn, n, seed, cap, stream)
 
 
@@ -567,25 +569,22 @@ def _sim_group(dist, x0, policy, *specs):
     cap = default_horizon_cap(fns[0].v)
     passes = {}
 
-    def member(offset):
-        def estimate(seed, n, stream):
-            key = (seed, n, stream - offset)
-            if key not in passes:
-                passes[key] = _simulate(dist, x0, policy, fns, n, seed, cap, key[2])
-            return passes[key][offset]
-        return estimate
+    def estimate(offset, seed, n, stream):
+        key = (seed, n, stream - offset)
+        if key not in passes:
+            passes[key] = simulate(dist, x0, policy, fns, n, seed, cap, key[2])
+        return passes[key][offset]
 
-    return [member(i) for i in range(len(fns))]
+    return [partial(estimate, i) for i in range(len(fns))]
 
 
 def default_registry() -> list[RegistryEntry]:
     """The cross-check catalogue backing mc-verify and the acceptance
     suite: one entry per passage or dividend functional, each with an
     analytic value and a matched simulation."""
-    from . import dividends as dv
-    from . import golden, lundberg, passage
-    from .model import DiscountedModel, validate
-    from .scale import w_table
+    from . import dividends as dv, golden, lundberg, passage
+    from .golden import cached_table
+    from .model import validate
 
     three, two = golden.three_point_model(), golden.two_point_model()
     four, heavy = golden.four_point_model(), validate(["1/2", "0", "0", "1/2"])
@@ -597,11 +596,8 @@ def default_registry() -> list[RegistryEntry]:
         four, 2, doubly, ("doubly_dividends", {"v": 0.8}), ("doubly_bailouts", {"v": 0.8}),
         ("doubly_value", {"v": 0.8, "k": 1.2}))
 
-    def tab(dist, v, x_max=20):
-        return w_table(DiscountedModel(dist, v), x_max)
-
     def dividends_law_mean():
-        theta = dv.dividends_law_at_barrier(tab(two, v9), 2)
+        theta = dv.dividends_law_at_barrier(cached_table(two, v9, 20), 2)
         return (1.0 - theta) / theta
 
     def dividends_law_estimate(seed, n, stream):
@@ -614,58 +610,60 @@ def default_registry() -> list[RegistryEntry]:
         ("passage_up:three_point,v=0.9,b=3", lambda: lundberg.phi(three, 0.9) ** 3,
          _sim(three, 0, free, "passage_up", v=0.9, level=3)),
         ("two_sided_up:three_point,x=2,N=6",
-         lambda: passage.two_sided_up(tab(three, v2), 2, 6),
+         lambda: passage.two_sided_up(cached_table(three, v2, 20), 2, 6),
          _sim(three, 2, free, "two_sided_up", v=v2, level=6)),
         ("deficit_gf:three_point,x=1,b=5,w=0.7",
-         lambda: passage.deficit_gf(tab(three, v2), 1, 5, 0.7),
+         lambda: passage.deficit_gf(cached_table(three, v2, 20), 1, 5, 0.7),
          _sim(three, 1, free, "deficit_gf", v=v2, w=0.7, level=5)),
         ("expected_deficit:four_point,x=0,b=5",
-         lambda: passage.expected_deficit(tab(four, 0.9), 0, 5),
+         lambda: passage.expected_deficit(cached_table(four, 0.9, 20), 0, 5),
          _sim(four, 0, free, "expected_deficit", v=0.9, level=5)),
-        ("discounted_ruin:heavy,x=2", lambda: passage.discounted_ruin(tab(heavy, 0.9), 2),
+        ("discounted_ruin:heavy,x=2",
+         lambda: passage.discounted_ruin(cached_table(heavy, 0.9, 20), 2),
          _sim(heavy, 2, free, "discounted_ruin", v=0.9)),
-        ("eventual_ruin:three_point,x=0", lambda: passage.eventual_ruin(tab(three, 1.0), 0),
+        ("eventual_ruin:three_point,x=0",
+         lambda: passage.eventual_ruin(cached_table(three, 1.0, 20), 0),
          _sim(three, 0, free, "ruin_indicator", 4000, v=1.0, level=40)),
         ("discounted_ruin_gf:heavy,x=2,w=0.6",
-         lambda: passage.discounted_ruin_gf(tab(heavy, 0.85, 420), 2, 0.6),
+         lambda: passage.discounted_ruin_gf(cached_table(heavy, 0.85, 420), 2, 0.6),
          _sim(heavy, 2, free, "deficit_gf", v=0.85, w=0.6)),
         ("finite_time_ruin:three_point,x=1,n=12",
          lambda: float(passage.finite_time_ruin(three, 12, 1).ruin[12, 1]),
          _sim(three, 1, free, "ruin_indicator", 12, v=1.0)),
         ("killed_resolvent:two_point,i=1,j=2,N=4",
-         lambda: passage.killed_resolvent(tab(two, v9), 1, 2, 4),
+         lambda: passage.killed_resolvent(cached_table(two, v9, 20), 1, 2, 4),
          _sim(two, 1, free, "resolvent", v=v9, level=4, target_state=2)),
         ("w_at_downcrossing:two_point,x=2,b=1,N=4",
-         lambda: passage.w_at_downcrossing(tab(two, v9), 2, 1, 4),
+         lambda: passage.w_at_downcrossing(cached_table(two, v9, 20), 2, 1, 4),
          _sim(two, 2, free, "downcross_w", v=v9, level=1, upper=4,
-              weights=(tab(two, v9).w(0),))),
+              weights=(cached_table(two, v9, 20).w(0),))),
         ("definetti_value:two_point,b=2,x=2",
-         lambda: dv.definetti_value(tab(two, v9), 2, 2),
+         lambda: dv.definetti_value(cached_table(two, v9, 20), 2, 2),
          _sim(two, 2, up2, "dividends_pv", v=v9)),
         ("injections_mgf:four_point,x=0,b=4,w=0.5",
-         lambda: dv.injections_mgf(tab(four, 0.999), 4, 0, 0.5),
+         lambda: dv.injections_mgf(cached_table(four, 0.999, 20), 4, 0, 0.5),
          _sim(four, 0, lower, "injection_mgf", v=0.999, w=0.5, level=4)),
         ("joint_dividends_deficit:two_point,b=2,x=1,w=0.7,z=0.9",
-         lambda: dv.joint_dividends_deficit(tab(two, v9), 2, 1, 0.7, 0.9),
+         lambda: dv.joint_dividends_deficit(cached_table(two, v9, 20), 2, 1, 0.7, 0.9),
          _sim(two, 1, up2, "joint_deficit_dividends", v=v9, w=0.7, z=0.9)),
         ("reflected_ruin_gf:four_point,b=3,x=0,w=0.4",
-         lambda: dv.reflected_ruin_gf(tab(four, 0.999), 3, 0, 0.4),
+         lambda: dv.reflected_ruin_gf(cached_table(four, 0.999, 20), 3, 0, 0.4),
          _sim(four, 0, up3, "joint_deficit_dividends", v=0.999, w=0.4, z=1.0)),
         ("dividends_law_mean:two_point,b=2", dividends_law_mean,
          dividends_law_estimate),
         ("bailout_value_reflected:four_point,b=5,x=2",
-         lambda: dv.bailout_value_reflected(tab(four, 0.999), 5, 2),
+         lambda: dv.bailout_value_reflected(cached_table(four, 0.999, 20), 5, 2),
          _sim(four, 2, up5, "bailout_pv", v=0.999)),
         ("modified_value:four_point,b=5,x=2,k=1.2",
-         lambda: dv.modified_definetti_value(tab(four, 0.9), 5, 2, 1.2),
+         lambda: dv.modified_definetti_value(cached_table(four, 0.9, 20), 5, 2, 1.2),
          _sim(four, 2, up5, "modified_value", v=0.9, k=1.2)),
         # one pass scores the doubly-reflected triple
         ("doubly_dividends:four_point,b=4,x=2",
-         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[0], doubly_div),
+         lambda: dv.doubly_reflected_values(cached_table(four, 0.8, 20), 4, 2)[0], doubly_div),
         ("doubly_bailouts:four_point,b=4,x=2",
-         lambda: dv.doubly_reflected_values(tab(four, 0.8), 4, 2)[1], doubly_bail),
+         lambda: dv.doubly_reflected_values(cached_table(four, 0.8, 20), 4, 2)[1], doubly_bail),
         ("doubly_value:four_point,b=4,x=2,k=1.2",
-         lambda: dv.doubly_reflected_value(tab(four, 0.8), 4, 2, 1.2), doubly_val),
+         lambda: dv.doubly_reflected_value(cached_table(four, 0.8, 20), 4, 2, 1.2), doubly_val),
     ]
     return [RegistryEntry(*row) for row in rows]
 
@@ -696,15 +694,12 @@ def run_registry(seed: int = 42, n_paths: int = 10**6) -> list[dict]:
 
 def run_dividends_chisquare(seed: int = 42, n_paths: int = 10**5) -> dict:
     """Chi-square check that killed cumulative dividends at the barrier
-    follow their geometric law."""
-    from . import dividends as dv
-    from .golden import TWO_POINT_V, two_point_model
-    from .model import DiscountedModel
-    from .scale import w_table
+    follow their geometric law, theta read off the registry's table."""
+    from .dividends import dividends_law_at_barrier
+    from .golden import TWO_POINT_V, cached_table, two_point_model
 
     two_point, v = two_point_model(), TWO_POINT_V
-    table = w_table(DiscountedModel(two_point, v), 10)
-    theta = dv.dividends_law_at_barrier(table, 2)
+    theta = dividends_law_at_barrier(cached_table(two_point, v, 20), 2)
     counts = dividend_count_samples(two_point, 2, v, 2, n_paths, seed, stream=1000)
     statistic, p_value = geometric_law_chisquare(counts, theta)
     return {

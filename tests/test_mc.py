@@ -142,6 +142,31 @@ def test_dividend_count_mean(two_point, two_tab):
     assert abs(samples.mean() - want) <= 5.0 * se
 
 
+def test_simulate_scores_a_tuple_in_one_pass(four_point):
+    doubly = PolicySpec("doubly_reflected", 4)
+    specs = (FunctionalSpec("doubly_dividends", v=0.8), FunctionalSpec("doubly_bailouts", v=0.8),
+             FunctionalSpec("doubly_value", v=0.8, k=1.2))
+    group = simulate(four_point, 2, doubly, specs, 2000, 7, None, 3)
+    assert isinstance(group, list)
+    assert group == [simulate(four_point, 2, doubly, spec, 2000, 7, None, 3) for spec in specs]
+    assert simulate(four_point, 2, doubly, specs[:1], 2000, 7, None, 3) == group[:1]
+    with pytest.raises(InvalidFunctional):
+        simulate(four_point, 2, doubly, (), 2000, 7)
+
+
+def test_registry_builds_no_table_after_its_first_pass(monkeypatch):
+    from skipfree import golden, scale
+
+    builds, build = [], scale.w_table
+    for module in (golden, scale):
+        monkeypatch.setattr(module, "w_table", lambda *args: builds.append(args) or build(*args))
+    for _ in range(2):
+        builds.clear()
+        run_registry(seed=42, n_paths=50)
+        run_dividends_chisquare(seed=42, n_paths=50)
+    assert not builds
+
+
 def test_registry_structure():
     reg = default_registry()
     assert len(reg) == 20

@@ -157,11 +157,9 @@ def test_registry_runs_the_doubly_triple_as_one_pass(monkeypatch):
 
 
 def test_grouped_functionals_must_share_their_dynamics():
-    from skipfree.mc import _simulate
-
     specs = (FunctionalSpec("doubly_dividends", v=0.8), FunctionalSpec("doubly_bailouts", v=0.9))
     with pytest.raises(InvalidFunctional):
-        _simulate(FOUR, 2, DOUBLY, specs, 100, 1, 111, 0)
+        simulate(FOUR, 2, DOUBLY, specs, 100, 1, 111, 0)
 
 
 def test_counters():
