@@ -211,8 +211,8 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
     if table.v >= 1.0:
         raise DomainError("doubly reflected values need v < 1")
     dzb = table.dz(b)
-    xm = min(x, b)
-    dividends = float(max(x - b, 0)) + table.z(xm) / dzb
+    xm = b if b < x else x  # min(x, b), and below max(x - b, 0), in any integer type
+    dividends = (0.0 if x < b else float(x - b)) + table.z(xm) / dzb
     bailouts = table.z(xm) * table.dz1(b) / dzb - table.z1(xm)
     return dividends, bailouts
 

@@ -188,7 +188,8 @@ def killed_resolvent(table: ScaleTable, i: int, j: int, upper: int) -> float:
         raise DomainError("upper must lie inside the table")
     if not (0 <= i < upper and 0 <= j < upper):
         return 0.0
-    val = table.w(upper - 1 - j) * table.w_ratio(i, upper) - table.w(i - j - 1)
+    # W(i - j - 1) is 0 for i <= j; comparing first keeps unsigned levels from wrapping
+    val = table.w(upper - 1 - j) * table.w_ratio(i, upper) - (table.w(i - j - 1) if i > j else 0.0)
     return val / table.v
 
 

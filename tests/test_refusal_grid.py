@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from skipfree import DiscountedModel, w_table
+from skipfree import dividends as dv
 from skipfree import passage as pa
 from skipfree.golden import four_point_model, three_point_model
 
@@ -121,3 +122,34 @@ def test_numpy_levels_pin(name):
     lines = (f"{i} {name}{args} -> {_outcome(fn, args)}" for i, table in enumerate(TABLES[:2])
              for fn, args in CALLS[name](table, NUMPY_LEVELS))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == NUMPY_PINS[name]
+
+
+# the same levels as np.uint64 and np.uint8, which a difference taken in
+# their own type would wrap below the barrier or the target state
+UNSIGNED_LEVELS = (0, 1, 2, 4)
+UNSIGNED_CALLS = {
+    "killed_resolvent": lambda t, xs: [(partial(pa.killed_resolvent, t), (i, j, 4))
+                                       for i in xs for j in xs],
+    "doubly_dividends": lambda t, xs: [(lambda b, x: dv.doubly_reflected_values(t, b, x)[0],
+                                        (b, x)) for b in xs for x in xs],
+    "doubly_bailouts": lambda t, xs: [(lambda b, x: dv.doubly_reflected_values(t, b, x)[1],
+                                       (b, x)) for b in xs for x in xs],
+}
+UNSIGNED_PINS = {
+    "doubly_bailouts": "2fba8a2668745af9ecfd19705db37a88762cbd05a3c75fc47f6ff0892ea80d5b",
+    "doubly_dividends": "940d6ace38b6e071321139c9e0cc4777f22993fa0169ff2df0aa6ce14416cc20",
+    "killed_resolvent": "73ac49b572d22577919e6253fbeffeabca82c28bf6353dab43d82544f6d82a45",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSIGNED_CALLS))
+def test_unsigned_levels_read_like_ints_pin(name):
+    lines = []
+    for i, table in enumerate(TABLES[:2]):
+        want = [_outcome(fn, args) for fn, args in UNSIGNED_CALLS[name](table, UNSIGNED_LEVELS)]
+        for kind in (np.uint64, np.uint8):
+            levels = tuple(kind(x) for x in UNSIGNED_LEVELS)
+            got = [_outcome(fn, args) for fn, args in UNSIGNED_CALLS[name](table, levels)]
+            assert got == want, kind
+        lines += [f"{i} {name} -> {outcome}" for outcome in want]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == UNSIGNED_PINS[name]
