@@ -42,7 +42,7 @@ from .embedding import LevyChainParams, phi_q, wq, zq
 from .errors import SkipfreeError
 from .golden import run_golden_checks
 from .mc import run_dividends_chisquare, run_registry
-from .model import ClaimDistribution, DiscountedModel, from_jsonable
+from .model import ClaimDistribution, DiscountedModel, _cap_exponent, from_jsonable
 from .passage import finite_time_ruin
 from .scale import w_table
 
@@ -59,7 +59,10 @@ class UsageError(ValueError):
 
 def _rational(text: str) -> float:
     """Parse a CLI number given as a decimal or a fraction like 65/72."""
-    return float(Fraction(text))
+    try:
+        return float(Fraction(_cap_exponent(text)))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(text) from exc
 
 
 def _fmt(x: float) -> str:
