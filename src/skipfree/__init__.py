@@ -9,170 +9,69 @@ optimization, capital injections, and reflected variants. A Monte
 Carlo module cross-checks the analytic answers path by path, and an
 embedding module reads the tables as scale functions of a lattice
 Levy process.
+
+Every public name is read from the package root, and each submodule
+under its own name, but ``import skipfree`` loads none of them: the
+first read of a name imports the submodule that defines it (PEP 562)
+and keeps the object here, so later reads are plain lookups.
 """
 
-from .dividends import (
-    BarrierResult,
-    bailout_value_reflected,
-    definetti_value,
-    dividends_law_at_barrier,
-    dividends_law_pgf,
-    doubly_reflected_influence,
-    doubly_reflected_influence_affine,
-    doubly_reflected_value,
-    doubly_reflected_values,
-    injections_mgf,
-    joint_dividends_deficit,
-    modified_definetti_influence,
-    modified_definetti_value,
-    multiband_diagnostics,
-    optimize_barrier,
-    optimize_definetti,
-    reflected_ruin_gf,
-)
-from .embedding import LevyChainParams, laplace_exponent, phi_q, wq, zq
-from .errors import (
-    Degenerate,
-    DomainError,
-    InvalidFunctional,
-    NoConvergence,
-    NonPositiveP0,
-    NotADistribution,
-    OutOfTable,
-    OverflowSignal,
-    SkipfreeError,
-    WrongKind,
-)
-from .golden import run_golden_checks
-from .lundberg import RootPair, lagrange_series, phi, root_pair, upcrossing_pmf
-from .mc import (
-    FunctionalSpec,
-    MCEstimate,
-    PolicySpec,
-    default_horizon_cap,
-    default_registry,
-    dividend_count_samples,
-    geometric_law_chisquare,
-    run_dividends_chisquare,
-    run_registry,
-    simulate,
-)
-from .model import (
-    ClaimDistribution,
-    DiscountedModel,
-    from_jsonable,
-    modified_geometric,
-    validate,
-)
-from .passage import (
-    RuinDP,
-    deficit_gf,
-    discounted_ruin,
-    discounted_ruin_gf,
-    eventual_ruin,
-    eventual_survival_transform,
-    expected_deficit,
-    expected_stopped_w,
-    expected_stopped_z,
-    finite_time_ruin,
-    killed_resolvent,
-    ruin_double_transform,
-    ruin_limit_ratio,
-    ruin_limit_ratio_series,
-    survival_double_transform,
-    two_sided_up,
-    upcrossing_price,
-    w_at_downcrossing,
-)
-from .scale import (
-    ScaleTable,
-    asymptotic_constant,
-    dickson_hipp_z,
-    gf_residual,
-    w_determinant_oracle,
-    w_table,
-    z_gf_residual,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BarrierResult",
-    "ClaimDistribution",
-    "Degenerate",
-    "DiscountedModel",
-    "DomainError",
-    "FunctionalSpec",
-    "InvalidFunctional",
-    "LevyChainParams",
-    "MCEstimate",
-    "NoConvergence",
-    "NonPositiveP0",
-    "NotADistribution",
-    "OutOfTable",
-    "OverflowSignal",
-    "PolicySpec",
-    "RootPair",
-    "RuinDP",
-    "ScaleTable",
-    "SkipfreeError",
-    "WrongKind",
-    "asymptotic_constant",
-    "bailout_value_reflected",
-    "deficit_gf",
-    "definetti_value",
-    "default_horizon_cap",
-    "default_registry",
-    "dickson_hipp_z",
-    "discounted_ruin",
-    "discounted_ruin_gf",
-    "dividend_count_samples",
-    "dividends_law_at_barrier",
-    "dividends_law_pgf",
-    "doubly_reflected_influence",
-    "doubly_reflected_influence_affine",
-    "doubly_reflected_value",
-    "doubly_reflected_values",
-    "eventual_ruin",
-    "eventual_survival_transform",
-    "expected_deficit",
-    "expected_stopped_w",
-    "expected_stopped_z",
-    "finite_time_ruin",
-    "from_jsonable",
-    "geometric_law_chisquare",
-    "gf_residual",
-    "injections_mgf",
-    "joint_dividends_deficit",
-    "killed_resolvent",
-    "lagrange_series",
-    "laplace_exponent",
-    "modified_definetti_influence",
-    "modified_definetti_value",
-    "modified_geometric",
-    "multiband_diagnostics",
-    "optimize_barrier",
-    "optimize_definetti",
-    "phi",
-    "phi_q",
-    "reflected_ruin_gf",
-    "root_pair",
-    "ruin_double_transform",
-    "ruin_limit_ratio",
-    "ruin_limit_ratio_series",
-    "run_dividends_chisquare",
-    "run_golden_checks",
-    "run_registry",
-    "simulate",
-    "survival_double_transform",
-    "two_sided_up",
-    "upcrossing_price",
-    "upcrossing_pmf",
-    "validate",
-    "w_at_downcrossing",
-    "w_determinant_oracle",
-    "w_table",
-    "wq",
-    "z_gf_residual",
-    "zq",
-]
+# submodule -> the public names it defines, each read from the root
+_EXPORTS = {
+    "dividends": (
+        "BarrierResult", "bailout_value_reflected", "definetti_value",
+        "dividends_law_at_barrier", "dividends_law_pgf", "doubly_reflected_influence",
+        "doubly_reflected_influence_affine", "doubly_reflected_value",
+        "doubly_reflected_values", "injections_mgf", "joint_dividends_deficit",
+        "modified_definetti_influence", "modified_definetti_value",
+        "multiband_diagnostics", "optimize_barrier", "optimize_definetti",
+        "reflected_ruin_gf",
+    ),
+    "embedding": ("LevyChainParams", "laplace_exponent", "phi_q", "wq", "zq"),
+    "errors": (
+        "Degenerate", "DomainError", "InvalidFunctional", "NoConvergence",
+        "NonPositiveP0", "NotADistribution", "OutOfTable", "OverflowSignal",
+        "SkipfreeError", "WrongKind",
+    ),
+    "golden": ("run_golden_checks",),
+    "lundberg": ("RootPair", "lagrange_series", "phi", "root_pair", "upcrossing_pmf"),
+    "mc": (
+        "FunctionalSpec", "MCEstimate", "PolicySpec", "default_horizon_cap",
+        "default_registry", "dividend_count_samples", "geometric_law_chisquare",
+        "run_dividends_chisquare", "run_registry", "simulate",
+    ),
+    "model": ("ClaimDistribution", "DiscountedModel", "from_jsonable",
+              "modified_geometric", "validate"),
+    "passage": (
+        "RuinDP", "deficit_gf", "discounted_ruin", "discounted_ruin_gf", "eventual_ruin",
+        "eventual_survival_transform", "expected_deficit", "expected_stopped_w",
+        "expected_stopped_z", "finite_time_ruin", "killed_resolvent",
+        "ruin_double_transform", "ruin_limit_ratio", "ruin_limit_ratio_series",
+        "survival_double_transform", "two_sided_up", "upcrossing_price", "w_at_downcrossing",
+    ),
+    "scale": (
+        "ScaleTable", "asymptotic_constant", "dickson_hipp_z", "gf_residual",
+        "w_determinant_oracle", "w_table", "z_gf_residual",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_HOME})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError
-from .scale import ScaleTable, _divide
+from .scale import ScaleTable, _diff, _divide, _int
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def definetti_value(table: ScaleTable, b: int, x: int) -> float:
         raise DomainError("barrier must be nonnegative")
     _check_not_degenerate(table)
     if x > b:
-        return float(x - b) + table.w_over_dw(b, b)
+        return _diff(x, b) + table.w_over_dw(b, b)
     return table.w_over_dw(x, b)
 
 
@@ -94,11 +94,12 @@ def joint_dividends_deficit(
     if not 0.0 < z <= 1.0:
         raise DomainError(f"dividend-count argument {z} outside (0, 1]")
     if x > b:
-        return z ** float(x - b) * joint_dividends_deficit(table, b, b, w, z)
-    den = table.w(b + 1) - z * table.w(b)
+        return z ** _diff(x, b) * joint_dividends_deficit(table, b, b, w, z)
+    b1 = _int(b) + 1
+    den = table.w(b1) - z * table.w(b)
     if den == 0.0:
         raise Degenerate("dividend barrier is never breached downward")
-    num = table.z_at(b + 1, w) - z * table.z_at(b, w)
+    num = table.z_at(b1, w) - z * table.z_at(b, w)
     return table.z_at(x, w) - table.w(x) * num / den
 
 
@@ -127,7 +128,7 @@ def dividends_law_at_barrier(table: ScaleTable, b: int) -> float:
     """
     if b < 0:
         raise DomainError("barrier must be nonnegative")
-    return table.dw(b) / table.w(b + 1)
+    return table.dw(b) / table.w(_int(b) + 1)
 
 
 def dividends_law_pgf(table: ScaleTable, b: int, t: float) -> float:
@@ -138,7 +139,7 @@ def dividends_law_pgf(table: ScaleTable, b: int, t: float) -> float:
         raise DomainError(f"pgf argument {t} outside (0, 1]")
     if t == 1.0:
         return 1.0
-    rho = table.w(b) / table.w(b + 1)
+    rho = table.w(b) / table.w(_int(b) + 1)
     return (1.0 - rho) / (1.0 - rho * t)
 
 
@@ -169,6 +170,7 @@ def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) ->
     reads, formula, check, _ = _SCAN[objective]
     if check:
         check(table, k)
+    lo, hi = _int(lo), _int(hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         return formula(k, *[getattr(table, "_" + name)(lo, hi) for name in reads])
 
@@ -196,7 +198,7 @@ def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> flo
     """
     h = modified_definetti_influence(table, b, k)
     xm = b if b < x else x  # min(x, b), and below max(x - b, 0), without the calls
-    return (0.0 if x < b else float(x - b)) + table.w(xm) * h + k * table.z1(xm)
+    return (0.0 if x < b else _diff(x, b)) + table.w(xm) * h + k * table.z1(xm)
 
 
 def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, float]:
@@ -212,7 +214,7 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
         raise DomainError("doubly reflected values need v < 1")
     dzb = table.dz(b)
     xm = b if b < x else x  # min(x, b), and below max(x - b, 0), in any integer type
-    dividends = (0.0 if x < b else float(x - b)) + table.z(xm) / dzb
+    dividends = (0.0 if x < b else _diff(x, b)) + table.z(xm) / dzb
     bailouts = table.z(xm) * table.dz1(b) / dzb - table.z1(xm)
     return dividends, bailouts
 
@@ -242,7 +244,7 @@ def doubly_reflected_value(table: ScaleTable, b: int, x: int, k: float) -> float
     """Dividends minus k times bailouts, double reflection, barrier b."""
     h = doubly_reflected_influence(table, b, k)
     xm = b if b < x else x  # as in modified_definetti_value
-    return (0.0 if x < b else float(x - b)) + table.z(xm) * h + k * table.z1(xm)
+    return (0.0 if x < b else _diff(x, b)) + table.z(xm) * h + k * table.z1(xm)
 
 
 def _strict_local_minima(vals) -> list[int]:
@@ -264,7 +266,7 @@ def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
     """
     if b_max < 0:
         raise DomainError("b_max must be nonnegative")
-    return _strict_local_minima(table._dw(0, b_max))
+    return _strict_local_minima(table._dw(0, _int(b_max)))
 
 
 # objective -> (the increments H(b) reads, in order, among dw, dz and dz1 of
@@ -299,6 +301,7 @@ def optimize_barrier(
         raise DomainError(f"unknown objective {objective!r}")
     if b_max < 0:
         raise DomainError("b_max must be nonnegative")
+    b_max = _int(b_max)  # b_max - rim in Python ints
     h = _influence(objective, table, k, 0, b_max)
     # max() semantics: a nan is passed over unless it stands at b = 0
     best = h[0] if math.isnan(h[0]) else np.nanmax(h)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import DomainError, OverflowSignal
 from .model import ClaimDistribution, DiscountedModel
 from .lundberg import phi
-from .scale import ScaleTable, w_table
+from .scale import ScaleTable, _int, w_table
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ def _table_for(params: LevyChainParams, q: float, m: int) -> ScaleTable:
         raise DomainError("q must be nonnegative")
     if m < 0:
         raise DomainError("lattice index must be nonnegative")
+    m = _int(m)  # m + 1 in Python ints
     size = 64
     while size < m + 1:
         size *= 2

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfTable
 from .model import ClaimDistribution, DiscountedModel
-from .scale import ScaleTable, _z_tail_terms
+from .scale import ScaleTable, _diff, _int, _z_tail_terms
 
 _IDENTITY_TOL = 1e-12
 _RATIO_RTOL = 1e-10
@@ -28,7 +28,7 @@ def upcrossing_price(model: DiscountedModel, x: int, b: int) -> float:
     """
     if x >= b:
         return 1.0
-    return model.phi_v ** float(b - x)
+    return model.phi_v ** _diff(b, x)
 
 
 def two_sided_up(table: ScaleTable, x: int, upper: int) -> float:
@@ -155,6 +155,7 @@ def finite_time_ruin(dist: ClaimDistribution, n: int, x_max: int) -> RuinDP:
     """
     if n < 0 or x_max < 0:
         raise DomainError("n and x_max must be nonnegative")
+    n, x_max = _int(n), _int(x_max)
     top = x_max + n
     kernel = dist.pmf_upto(top + 2 if dist.max_claim is None else dist.max_claim)
     tails = np.array([dist.tail(x + 1) for x in range(top + 1)])
@@ -188,8 +189,8 @@ def killed_resolvent(table: ScaleTable, i: int, j: int, upper: int) -> float:
         raise DomainError("upper must lie inside the table")
     if not (0 <= i < upper and 0 <= j < upper):
         return 0.0
-    # W(i - j - 1) is 0 for i <= j; comparing first keeps unsigned levels from wrapping
-    val = table.w(upper - 1 - j) * table.w_ratio(i, upper) - (table.w(i - j - 1) if i > j else 0.0)
+    i, j, upper = _int(i), _int(j), _int(upper)
+    val = table.w(upper - 1 - j) * table.w_ratio(i, upper) - table.w(i - j - 1)
     return val / table.v
 
 
@@ -206,10 +207,12 @@ def w_at_downcrossing(
         raise DomainError("crossing level must be nonnegative")
     if x < b:
         return table.w(x)
+    x, b = _int(x), _int(b)
     if upper is None:
         return table.w(x) - table.w(x - b) * table.phi ** float(-b)
     if x >= upper:
         return 0.0
+    upper = _int(upper)
     return table.w(x) - table.w(x - b) * table.w(upper) / table.w(upper - b)
 
 
@@ -258,8 +261,7 @@ def _start(table: ScaleTable, x, n: int, what: str = "") -> int:
     """A start x >= 0 as a Python int, refused by the table's read rule before
     the DP runs: x + n past x_max, then a column what a rescaled table lacks,
     then an x that is not an integer."""
-    if isinstance(x, np.integer):
-        x = int(x)  # x + n in Python ints, which do not wrap or overflow
+    x = _int(x)  # x + n in Python ints, which do not wrap or overflow
     if table.x_max < x + n:
         raise OutOfTable(f"need the table up to x + n = {x + n}")
     err = table._refused(None, what, (), (x,))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +178,30 @@ _MISREAD = (IndexError, TypeError, OverflowError)  # a column read of a level th
 _NEGATIVE_STEP = "difference index must be nonnegative"
 
 
+def _int(x):
+    """A numpy integer level as a Python int, any other level as it is. Level
+    arithmetic in a numpy type wraps at its bounds (np.uint8(255) + 1 is 0) or
+    overflows against a Python int it cannot hold."""
+    if x.__class__ is int or not isinstance(x, np.integer):
+        return x
+    return int(x)
+
+
+def _diff(x, y) -> float:
+    """float(x - y), with numpy integer levels subtracted as Python ints."""
+    if x.__class__ is int and y.__class__ is int:
+        return float(x - y)
+    return float(_int(x) - _int(y))
+
+
+def _index(x) -> int:
+    """A level that is not a Python int as one, for a column read: TypeError
+    for a bool or for a level that is not an integer, which _refused names."""
+    if x.__class__ is bool:
+        raise TypeError
+    return operator.index(x)
+
+
 @dataclass
 class ScaleTable:
     """Precomputed scale columns for one model on 0..x_max: W, Z = Z(., 1)
@@ -189,13 +214,14 @@ class ScaleTable:
     Z = 1, Z1 = x, Z(x, w) = w^{-x}) unread, though the other level of
     w_ratio and w_over_dw is read, a difference index below zero is a
     DomainError, and any other level is read through a memoryview of
-    its column as a Python float, bit for bit the column entry. A level the
-    view refuses, or a bool, raises OutOfTable if past x_max, else
-    DomainError for a family a rescaled table lacks (or zw_array's refusal
-    of w), else DomainError as not an integer (3.5, 2.0, True). A division
-    by a difference that rounded to zero gives numpy's inf or nan, as the
-    column scans do. z_at and dzw read the view of the last Z(., w) column
-    used without reordering the rest.
+    its column as a Python float, bit for bit the column entry; a numpy
+    integer level is read as the Python int it equals, so b + 1 does not
+    wrap. A level the view refuses, or a bool, raises OutOfTable if past
+    x_max, else DomainError for a family a rescaled table lacks (or
+    zw_array's refusal of w), else DomainError as not an integer (3.5, 2.0,
+    True). A division by a difference that rounded to zero gives numpy's
+    inf or nan, as the column scans do. z_at and dzw read the view of the
+    last Z(., w) column used without reordering the rest.
 
     v and phi (the model's v and phi_v) are attributes, set with the
     column views when the table is built.
@@ -307,8 +333,8 @@ class ScaleTable:
         if x < 0:
             return 0.0
         try:
-            if x.__class__ is bool:
-                raise TypeError
+            if x.__class__ is not int:
+                x = _index(x)
             val = self._wv[x]
         except _MISREAD as err:
             raise self._refused(err, "", (x,)) from None
@@ -322,15 +348,17 @@ class ScaleTable:
             self.w_ratio(y, y)
             return 0.0
         try:
-            if x.__class__ is bool or y.__class__ is bool:
-                raise TypeError
+            if x.__class__ is not int:
+                x = _index(x)
+            if y.__class__ is not int:
+                y = _index(y)
             ratio = self._wv[x] / self._wv[y]
         except _MISREAD as err:
             raise self._refused(err, "", (y, x), (x, y)) from None
         if not self.rescaled:
             return ratio
-        try:  # in floats: a numpy unsigned y - x would wrap below zero
-            return ratio * self.phi ** (float(y) - float(x))
+        try:
+            return ratio * self.phi ** float(y - x)
         except OverflowError:
             raise OverflowSignal(f"W({x})/W({y}) exceeds float range") from None
 
@@ -339,8 +367,8 @@ class ScaleTable:
         if b < 0:
             raise DomainError(_NEGATIVE_STEP)
         try:
-            if b.__class__ is bool:
-                raise TypeError
+            if b.__class__ is not int:
+                b = _index(b)
             step = self._wv[b + 1] - self._wv[b]
         except _MISREAD as err:
             raise self._refused(err, "", (b + 1,), (b,)) from None
@@ -354,8 +382,10 @@ class ScaleTable:
             self.w_over_dw(b, b)
             return 0.0
         try:
-            if x.__class__ is bool or b.__class__ is bool:
-                raise TypeError
+            if b.__class__ is not int:
+                b = _index(b)
+            if x.__class__ is not int:
+                x = _index(x)
             wx, wb, wb1 = self._wv[x], self._wv[b], self._wv[b + 1]
         except _MISREAD as err:
             raise self._refused(err, "", (b + 1, x), (x, b)) from None
@@ -363,7 +393,7 @@ class ScaleTable:
         if not self.rescaled:
             return _divide(wx, wb1 - wb)
         try:
-            return _divide(wx, wb1 - self.phi * wb) * self.phi ** (float(b) + 1.0 - float(x))
+            return _divide(wx, wb1 - self.phi * wb) * self.phi ** float(b + 1 - x)
         except OverflowError:
             raise OverflowSignal(f"W({x})/dW({b}) exceeds float range") from None
 
@@ -371,8 +401,8 @@ class ScaleTable:
         if x < 0:
             return 1.0
         try:
-            if x.__class__ is bool:
-                raise TypeError
+            if x.__class__ is not int:
+                x = _index(x)
             return self._zv[x]
         except _MISREAD as err:
             raise self._refused(err, "Z", (x,)) from None
@@ -381,8 +411,8 @@ class ScaleTable:
         if b < 0:
             raise DomainError(_NEGATIVE_STEP)
         try:
-            if b.__class__ is bool:
-                raise TypeError
+            if b.__class__ is not int:
+                b = _index(b)
             return self._zv[b + 1] - self._zv[b]
         except _MISREAD as err:
             raise self._refused(err, "Z", (b + 1,), (b,)) from None
@@ -396,8 +426,8 @@ class ScaleTable:
         if x < 0:
             return float(x)
         try:
-            if x.__class__ is bool:
-                raise TypeError
+            if x.__class__ is not int:
+                x = _index(x)
             return self._z1v[x]
         except _MISREAD as err:
             raise self._refused(err, "Z1", (x,)) from None
@@ -406,8 +436,8 @@ class ScaleTable:
         if b < 0:
             raise DomainError(_NEGATIVE_STEP)
         try:
-            if b.__class__ is bool:
-                raise TypeError
+            if b.__class__ is not int:
+                b = _index(b)
             return self._z1v[b + 1] - self._z1v[b]
         except _MISREAD as err:
             raise self._refused(err, "Z1", (b + 1,), (b,)) from None
@@ -437,8 +467,8 @@ class ScaleTable:
             if key != w:
                 self.zw_array(w)
                 col = self._zw_recent[1]
-            if x.__class__ is bool:
-                raise TypeError
+            if x.__class__ is not int:
+                x = _index(x)
             return col[x]
         except (*_MISREAD, DomainError) as err:
             raise self._refused(err, "", (x,)) from None
@@ -451,11 +481,11 @@ class ScaleTable:
             if key != w:
                 self.zw_array(w)
                 col = self._zw_recent[1]
-            if b.__class__ is bool:
-                raise TypeError
+            if b.__class__ is not int:
+                b = _index(b)
             return col[b + 1] - col[b]
-        except (*_MISREAD, DomainError) as err:
-            raise self._refused(err, "", (b + 1,), (b,)) from None
+        except (*_MISREAD, DomainError) as err:  # b is unconverted if zw_array refused w
+            raise self._refused(err, "", (_int(b) + 1,), (b,)) from None
 
 
 def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> ScaleTable:
@@ -469,6 +499,7 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
     """
     if x_max < 0:
         raise DomainError("x_max must be nonnegative")
+    x_max = _int(x_max)  # x_max + 1 entries, counted in Python ints
     if rescaled:
         arr = _w_array_tilted(model, x_max)
         if not np.all(np.isfinite(arr)):
@@ -520,6 +551,7 @@ def dickson_hipp_z(model: DiscountedModel, w: float, x: int) -> float:
         raise DomainError(f"need 0 < w < phi_v = {f}; got w = {w}")
     if x < 0:
         return float(w) ** -float(x)  # a Python float for a numpy x too
+    x = _int(x)
     a_const = asymptotic_constant(model)
     if math.isinf(a_const):
         raise DomainError(

@@ -7,19 +7,26 @@ first, then a family a rescaled table lacks, then a level that is not an
 integer. The digests below were recorded before the accessors shared one
 refusal rule, so they pin every outcome and its precedence; CHANGES.md
 names each digest re-recorded since, with the outcomes that changed.
+
+A numpy integer level must give what the Python int it equals gives, in
+every scalar read and every function that takes levels, at the largest
+level its dtype holds as well.
 """
 
 import hashlib
+import itertools
 import struct
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
-from skipfree import DiscountedModel, w_table
+from skipfree import DiscountedModel, LevyChainParams, w_table, wq, zq
 from skipfree import dividends as dv
 from skipfree import passage as pa
-from skipfree.golden import four_point_model, three_point_model
+from skipfree import scale
+from skipfree.golden import cached_table, four_point_model, three_point_model
 
 TABLES = (
     w_table(DiscountedModel(three_point_model(), 0.9), 10),
@@ -153,3 +160,127 @@ def test_unsigned_levels_read_like_ints_pin(name):
             assert got == want, kind
         lines += [f"{i} {name} -> {outcome}" for outcome in want]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == UNSIGNED_PINS[name]
+
+
+# every numpy integer dtype at the levels it holds of a table on 0..410, and
+# at its own maximum, where a level + 1 or a difference taken in the dtype
+# would wrap; the calls run with every level of the dtype, and with the last
+# level any of those as a Python int, which a small dtype may not hold
+DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+DTYPE_LEVELS = (0, 1, 2, 127, 255, 409, 410)
+DTYPE_TABLES = (cached_table(four_point_model(), 0.999, 410),
+                w_table(DiscountedModel(four_point_model(), 0.999), 410, rescaled=True))
+
+# name -> (number of levels, the call on a table t and those levels)
+LEVEL_CALLS = {
+    **{name: (1, partial(lambda name, t, x: getattr(t, name)(x), name))
+       for name in ("w", "dw", "z", "dz", "z1", "dz1")},
+    "w_ratio": (2, lambda t, x, y: t.w_ratio(x, y)),
+    "w_over_dw": (2, lambda t, x, b: t.w_over_dw(x, b)),
+    "z_at": (1, lambda t, x: t.z_at(x, 0.5)),
+    "dzw": (1, lambda t, b: t.dzw(b, 0.5)),
+    "upcrossing_price": (2, lambda t, x, b: pa.upcrossing_price(t.model, x, b)),
+    "two_sided_up": (2, pa.two_sided_up),
+    "deficit_gf": (2, lambda t, x, b: pa.deficit_gf(t, x, b, 0.5)),
+    "expected_deficit": (2, pa.expected_deficit),
+    "discounted_ruin": (1, pa.discounted_ruin),
+    "eventual_ruin": (1, pa.eventual_ruin),
+    "discounted_ruin_gf": (1, lambda t, x: pa.discounted_ruin_gf(t, x, 0.5)),
+    "killed_resolvent": (3, pa.killed_resolvent),
+    "w_at_downcrossing": (2, pa.w_at_downcrossing),
+    "w_at_downcrossing_upper": (3, pa.w_at_downcrossing),
+    "expected_stopped_w": (2, pa.expected_stopped_w),
+    "expected_stopped_z": (2, lambda t, x, n: pa.expected_stopped_z(t, x, 0.5, n)),
+    "definetti_value": (2, dv.definetti_value),
+    "injections_mgf": (2, lambda t, b, x: dv.injections_mgf(t, b, x, 0.5)),
+    "joint_dividends_deficit": (2, lambda t, b, x: dv.joint_dividends_deficit(t, b, x, 0.5, 0.5)),
+    "reflected_ruin_gf": (2, lambda t, b, x: dv.reflected_ruin_gf(t, b, x, 0.5)),
+    "dividends_law_at_barrier": (1, dv.dividends_law_at_barrier),
+    "dividends_law_pgf": (1, lambda t, b: dv.dividends_law_pgf(t, b, 0.5)),
+    "bailout_value_reflected": (2, dv.bailout_value_reflected),
+    "modified_definetti_influence": (1, lambda t, b: dv.modified_definetti_influence(t, b, 1.2)),
+    "modified_definetti_value": (2, lambda t, b, x: dv.modified_definetti_value(t, b, x, 1.2)),
+    "doubly_reflected_values": (2, dv.doubly_reflected_values),
+    "doubly_reflected_influence": (1, lambda t, b: dv.doubly_reflected_influence(t, b, 1.2)),
+    "doubly_reflected_influence_affine": (
+        1, lambda t, b: dv.doubly_reflected_influence_affine(t, b, 1.2)),
+    "doubly_reflected_value": (2, lambda t, b, x: dv.doubly_reflected_value(t, b, x, 1.2)),
+    "multiband_diagnostics": (1, dv.multiband_diagnostics),
+    **{f"optimize_barrier_{objective}": (
+        2, partial(lambda objective, t, x, b_max: dv.optimize_barrier(t, objective, 1.2, x, b_max),
+                   objective))
+       for objective in dv.OBJECTIVES},
+    "optimize_definetti": (2, dv.optimize_definetti),
+}
+
+
+def _bits(out) -> str:
+    if isinstance(out, float):
+        return f"{type(out).__name__} {out.hex()}"
+    if isinstance(out, tuple):
+        return "(" + ", ".join(map(_bits, out)) + ")"
+    return repr(out)
+
+
+def _strict_outcome(fn, args) -> str:
+    """_outcome under warnings as errors, for any result: a wrap in numpy warns."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fn(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return _bits(out)
+
+
+def _dtype_grid(arity, call, levels_of):
+    """(table rescaled, levels, their outcome, the Python-int outcome) where they differ."""
+    want, diffs = {}, []
+    for kind in DTYPES:
+        held = levels_of(kind)
+        mixed = [(*head, int(last)) for head in itertools.product(held, repeat=arity - 1)
+                 for last in levels_of(np.uint64)] if arity > 1 else []
+        for t in DTYPE_TABLES:
+            for levels in [*itertools.product(held, repeat=arity), *mixed]:
+                ints = tuple(map(int, levels))
+                if (id(t), ints) not in want:
+                    want[id(t), ints] = _strict_outcome(call, (t, *ints))
+                got = _strict_outcome(call, (t, *levels))
+                if got != want[id(t), ints]:
+                    diffs.append((t.rescaled, levels, got, want[id(t), ints]))
+    return diffs
+
+
+def _held(kind):
+    top = np.iinfo(kind).max
+    return tuple(kind(x) for x in DTYPE_LEVELS if x <= top) + (kind(top),)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_CALLS))
+def test_numpy_integer_levels_read_like_ints(name):
+    assert _dtype_grid(*LEVEL_CALLS[name], _held) == []
+
+
+# levels that size a W column of their own, so the dtype maxima stay out
+OFF_TABLE_CALLS = {
+    "dickson_hipp_z": lambda t, x: scale.dickson_hipp_z(t.model, 0.5, x),
+    "wq": lambda t, m: wq(LevyChainParams(2.0, 0.5, t.model.dist), 0.4, m),
+    "zq": lambda t, m: zq(LevyChainParams(2.0, 0.5, t.model.dist), 0.4, m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_TABLE_CALLS))
+def test_numpy_integer_levels_size_columns_like_ints(name):
+    assert _dtype_grid(1, OFF_TABLE_CALLS[name], lambda kind: _held(kind)[:-1]) == []
+
+
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_numpy_integer_table_size_builds_like_int(rescaled):
+    model = DiscountedModel(four_point_model(), 0.999)
+    want = w_table(model, 255, rescaled)
+    for kind in (np.uint8, np.int16, np.uint64):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = w_table(model, kind(255), rescaled)
+        assert got.x_max.__class__ is int and got.tilted_w_array().tobytes() == \
+            want.tilted_w_array().tobytes()
