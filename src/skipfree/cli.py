@@ -7,7 +7,8 @@ Each subcommand accepts only the flags it reads:
              --model --v --xmax --n --out --rescaled
   passage    passage functionals at one level: --model --v --xmax --x --b --w --out
   optimize   barrier optimization with its full influence trace:
-             --model --v --xmax --bmax --objective --k --x --rescaled
+             --model --v --bmax --objective --k --x --rescaled; the scan
+             reads levels 0..bmax+1 only, so its table is sized from --bmax
   mc-verify  analytic vs Monte Carlo registry: --seed --npaths --chi-npaths
   examples   golden reference checks, one line each: no flags
   embed      Levy chain tables: --model --xmax --gamma --step --q
@@ -110,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("passage", cmd_passage, "passage functionals at one starting level",
          "model v xmax x b w out"),
         ("optimize", cmd_optimize, "optimize a dividend barrier and emit the trace",
-         "model v xmax bmax objective k x rescaled"),
+         "model v bmax objective k x rescaled"),
         ("mc-verify", cmd_mc_verify, "run the analytic vs Monte Carlo registry",
          "seed npaths chi-npaths"),
         ("examples", cmd_examples, "run the bundled golden checks, one line each", ""),
@@ -211,7 +212,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if objective != "definetti" and args.k is None:
         raise UsageError(f"--k is required for objective {args.objective}")
     k = 0.0 if args.k is None else args.k
-    table = _table_for(args, max(args.xmax, args.bmax + 2, args.x + 1), args.rescaled)
+    # a negative --bmax builds 2 levels and optimize_barrier refuses it
+    table = _table_for(args, max(args.bmax, 0) + 2, args.rescaled)
     result = dv.optimize_barrier(table, objective, k, args.x, args.bmax)
     print(json.dumps(_finite_or_null(result.to_jsonable()), indent=2, allow_nan=False))
     return 0

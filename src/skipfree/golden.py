@@ -24,6 +24,7 @@ from .lundberg import root_pair
 from .model import ClaimDistribution, DiscountedModel, modified_geometric, validate
 from .scale import (
     ScaleTable,
+    _int,
     _w_array_alt,
     dickson_hipp_z,
     gf_residual,
@@ -90,6 +91,7 @@ def closed_form_w_modgeom(dist: ClaimDistribution, v: float, x: int) -> float:
     """
     if x < 0:
         return 0.0
+    x = _int(x)  # -x - 1 in Python ints, which no numpy level wraps
     pair = root_pair(dist, v)
     f, big, k = pair.phi_v, pair.R_v, pair.k_v
     a = dist.alpha
@@ -109,6 +111,7 @@ def closed_form_z_modgeom(dist: ClaimDistribution, v: float, x: int) -> float:
         return 1.0
     if v == 1.0:
         return 1.0
+    x = _int(x)  # -x in Python ints, as in closed_form_w_modgeom
     pair = root_pair(dist, v)
     f, big, k = pair.phi_v, pair.R_v, pair.k_v
     a = dist.alpha
@@ -243,7 +246,7 @@ def _tables(x_max: int, martingale: bool = False):
 
 def _check_gf_residuals() -> tuple[bool, str]:
     return _within("max residual", "1e-10", (
-        residual(t.model, frac * t.phi, 400, t) for t in _tables(410)
+        residual(t, frac * t.phi, 400) for t in _tables(410)
         for frac in (0.25, 0.5, 0.75) for residual in (gf_residual, z_gf_residual)))
 
 

@@ -268,21 +268,21 @@ def from_jsonable(obj: dict | str) -> ClaimDistribution:
 class DiscountedModel:
     """A claim distribution paired with a discount factor v in (0, 1].
 
-    The Lundberg root phi_v is resolved at construction time so that
-    downstream code can rely on it without recomputing.
+    The Lundberg root phi_v is a function of dist and v, so it is not a
+    constructor argument: it is solved once at construction, and
+    downstream code reads it without recomputing.
     """
 
     dist: ClaimDistribution
     v: float
-    phi_v: float = field(default=None)  # type: ignore[assignment]
+    phi_v: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.v <= 1.0:
             raise DomainError(f"discount factor {self.v} outside (0, 1]")
-        if self.phi_v is None:
-            from .lundberg import phi
+        from .lundberg import phi
 
-            object.__setattr__(self, "phi_v", phi(self.dist, self.v))
+        object.__setattr__(self, "phi_v", phi(self.dist, self.v))
 
     @property
     def subcritical(self) -> bool:

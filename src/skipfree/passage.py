@@ -132,12 +132,13 @@ def discounted_ruin_gf(table: ScaleTable, x: int, w: float) -> float:
     return zx if x <= -1 else zx - ruin_limit_ratio(table, w) * table.w(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RuinDP:
     """Exact finite-horizon ruin and survival probabilities.
 
     ruin[m, x] = P_x[ruin by time m] and survival[m, x] is its
-    complement, for m = 0..n and x = 0..x_max.
+    complement, for m = 0..n and x = 0..x_max. It holds arrays, so ==
+    and hash go by identity.
     """
 
     n: int

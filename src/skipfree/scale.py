@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +29,7 @@ _BLOCK = 32  # levels the recursions solve at a time, in _LD
 # w plus 1 fresh w per pass, and the Dickson-Hipp golden check for 3, so 8
 # keeps every w in repeated use while fresh ones age out.
 _ZW_KEPT = 8
+_NO_COLUMN = np.empty(0)  # the Z and Z1 of a rescaled table
 
 
 def _coefficients(dist, tilt: float = 1.0) -> tuple:
@@ -202,7 +202,6 @@ def _index(x) -> int:
     return operator.index(x)
 
 
-@dataclass
 class ScaleTable:
     """Precomputed scale columns for one model on 0..x_max: W, Z = Z(., 1)
     and Z1, which w_table builds at once. A rescaled table stores the tilted
@@ -223,37 +222,27 @@ class ScaleTable:
     inf or nan, as the column scans do. z_at and dzw read the view of the
     last Z(., w) column used without reordering the rest.
 
-    v and phi (the model's v and phi_v) are attributes, set with the
-    column views when the table is built.
+    The constructor takes the columns w_table builds and nothing it can
+    work out: v and phi (the model's v and phi_v) and the caches of
+    Z(., w) columns and of a rescaled table's multiplied-out W are set
+    here. Two tables are equal only if they are the same object.
     """
 
-    model: DiscountedModel
-    x_max: int
-    rescaled: bool
-    _w: np.ndarray
-    _z: np.ndarray  # Z and Z1 on 0..x_max; empty on a rescaled table
-    _z1: np.ndarray
-    _zw: dict[float, np.ndarray] = field(default_factory=dict)
-    # (w, view of Z(., w)) of the last zw_array call; a nan w equals no argument
-    _zw_recent: tuple = (math.nan, None)
-    _wcol: np.ndarray | None = None  # W multiplied out of a rescaled table's tilted column
-    # set in __post_init__, so that every read finds them in place
-    v: float = field(init=False)
-    phi: float = field(init=False)
-    _alpha_v: float = field(init=False)  # phi (1 - v) / (v (1 - phi)), nan at v = 1
-    _drift: float = field(init=False)  # 1 - mean, the walk's mean step
-    # v = 1 and no claim exceeds 1: the walk never drops below a barrier
-    _dividends_diverge: bool = field(init=False)
-    _wv: memoryview = field(init=False, repr=False)
-    _zv: memoryview = field(init=False, repr=False)
-    _z1v: memoryview = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.v, self.phi = v, phi = self.model.v, self.model.phi_v
+    def __init__(self, model: DiscountedModel, x_max: int, rescaled: bool,
+                 w: np.ndarray, z: np.ndarray = _NO_COLUMN,
+                 z1: np.ndarray = _NO_COLUMN) -> None:
+        self.model, self.x_max, self.rescaled = model, x_max, rescaled
+        self._w, self._z, self._z1 = w, z, z1  # Z and Z1 on 0..x_max; empty on a rescaled table
+        self._zw: dict[float, np.ndarray] = {}
+        # (w, view of Z(., w)) of the last zw_array call; a nan w equals no argument
+        self._zw_recent: tuple = (math.nan, None)
+        self._wcol: np.ndarray | None = None  # W multiplied out of a rescaled table's tilted column
+        self.v, self.phi = v, phi = model.v, model.phi_v
         self._alpha_v = phi * (1.0 - v) / (v * (1.0 - phi)) if v < 1.0 else math.nan
-        self._drift = 1.0 - self.model.dist.mean
-        self._dividends_diverge = v == 1.0 and self.model.dist.tail(1) == 0.0
-        self._wv, self._zv, self._z1v = map(memoryview, (self._w, self._z, self._z1))
+        self._drift = 1.0 - model.dist.mean  # the walk's mean step
+        # v = 1 and no claim exceeds 1: the walk never drops below a barrier
+        self._dividends_diverge = v == 1.0 and model.dist.tail(1) == 0.0
+        self._wv, self._zv, self._z1v = map(memoryview, (w, z, z1))
 
     def _refused(self, err: Exception | None, what: str, past: tuple,
                  named: tuple = ()) -> Exception | None:
@@ -504,8 +493,7 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
         arr = _w_array_tilted(model, x_max)
         if not np.all(np.isfinite(arr)):
             raise NoConvergence("tilted W recursion produced non-finite values")
-        return ScaleTable(model=model, x_max=x_max, rescaled=True, _w=arr,
-                          _z=np.empty(0), _z1=np.empty(0))
+        return ScaleTable(model, x_max, True, arr)
     arr = alt = _w_array(model, x_max)
     if np.all(np.isfinite(arr)):
         alt = _w_array_alt(model, x_max)
@@ -523,7 +511,7 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
         cum = np.concatenate([[0.0], np.cumsum(arr[:-1])])
         z = 1.0 + (1.0 / model.v - 1.0) * cum
         z1 = np.concatenate([[0.0], np.cumsum(z[:-1])]) - (1.0 - model.dist.mean) * cum
-    return ScaleTable(model=model, x_max=x_max, rescaled=False, _w=arr, _z=z, _z1=z1)
+    return ScaleTable(model, x_max, False, arr, z, z1)
 
 
 def asymptotic_constant(model: DiscountedModel) -> float:
@@ -599,38 +587,38 @@ def w_determinant_oracle(model: DiscountedModel, n: int) -> np.ndarray:
     return out
 
 
-def gf_residual(
-    model: DiscountedModel, z: float, x_max: int, table: ScaleTable | None = None
-) -> float:
-    """|(pgf(z) - z/v) * sum_x z^x W(x) - 1| over a truncated sum.
+def _gf_sum(table: ScaleTable, z: float, x_max: int, column) -> float:
+    """sum_{x <= x_max} z^x col(x) for col = column(), once 0 < z < phi_v and
+    0 <= x_max <= table.x_max are checked."""
+    if not 0.0 < z < table.phi:
+        raise DomainError(f"need 0 < z < phi_v = {table.phi}; got z = {z}")
+    if x_max < 0:
+        raise DomainError("x_max must be nonnegative")
+    if x_max > table.x_max:
+        raise OutOfTable(f"x = {x_max} beyond table range 0..{table.x_max}")
+    return float(np.polynomial.polynomial.polyval(z, column()[: _int(x_max) + 1]))
+
+
+def gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
+    """|(pgf(z) - z/v) * sum_x z^x W(x) - 1| over the table's W(0..x_max).
 
     The generating function of W is 1 / (pgf(z) - z/v) for 0 < z <
     phi_v, so the residual measures both table accuracy and truncation.
+    x_max past the table is OutOfTable: the table is the one whose
+    accuracy is measured, so none is built in its place.
     """
-    if not 0.0 < z < model.phi_v:
-        raise DomainError(f"need 0 < z < phi_v = {model.phi_v}; got z = {z}")
-    if table is not None and not table.rescaled and table.x_max >= x_max:
-        warr = table.w_array()[: x_max + 1]
-    else:
-        warr = _w_array(model, x_max)
-    s = float(np.polynomial.polynomial.polyval(z, warr))
-    return abs((model.dist.pgf(z) - z / model.v) * s - 1.0)
+    s = _gf_sum(table, z, x_max, lambda: table._w_through(0, x_max))
+    return abs((table.model.dist.pgf(z) - z / table.v) * s - 1.0)
 
 
-def z_gf_residual(
-    model: DiscountedModel, z: float, x_max: int, table: ScaleTable | None = None
-) -> float:
-    """Residual of the generating-function identity for Z = Z(., 1).
+def z_gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
+    """Residual of the generating-function identity for Z = Z(., 1) over the
+    table's Z(0..x_max), refused as gf_residual refuses; a rescaled table has no Z.
 
     sum_x z^x Z(x) = (pgf(z) - z) / ((pgf(z) - z/v)(1 - z)) on
     0 < z < phi_v.
     """
-    if not 0.0 < z < model.phi_v:
-        raise DomainError(f"need 0 < z < phi_v = {model.phi_v}; got z = {z}")
-    if table is None or table.rescaled or table.x_max < x_max:
-        table = w_table(model, x_max)
-    zarr = table.zw_array(1.0)[: x_max + 1]
-    s = float(np.polynomial.polynomial.polyval(z, zarr))
-    pg = model.dist.pgf(z)
-    target = (pg - z) / ((pg - z / model.v) * (1.0 - z))
+    s = _gf_sum(table, z, x_max, lambda: table.zw_array(1.0))
+    pg = table.model.dist.pgf(z)
+    target = (pg - z) / ((pg - z / table.v) * (1.0 - z))
     return abs(s / target - 1.0)

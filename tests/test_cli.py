@@ -95,7 +95,7 @@ def test_passage_report(model_file, capsys):
 def test_optimize_doubly_reports_json(gsy_file, capsys):
     rc = main([
         "optimize", "--model", gsy_file, "--v", "0.999",
-        "--objective", "doubly", "--k", "1.2", "--bmax", "40", "--xmax", "45",
+        "--objective", "doubly", "--k", "1.2", "--bmax", "40",
     ])
     out = capsys.readouterr().out
     assert rc == 0
@@ -239,7 +239,6 @@ def test_overflowing_embed_under_warnings_as_errors(model_file):
     ["ruin", "--xmax", "-1"],
     ["ruin", "--n", "3", "--xmax", "-1"],
     ["passage", "--v", "0.9", "--xmax", "-1"],
-    ["optimize", "--v", "0.9", "--xmax", "-1"],
 ])
 def test_negative_xmax_is_a_usage_error(model_file, capsys, argv):
     rc = main([argv[0], "--model", model_file, *argv[1:]])
@@ -247,6 +246,19 @@ def test_negative_xmax_is_a_usage_error(model_file, capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: --xmax must be nonnegative\n"
+
+
+def test_optimize_sizes_its_table_from_bmax_alone(gsy_file, capsys, four_point):
+    # the scan and the value at x > b_star read levels 0..bmax+1 only; a table
+    # sized to reach x = 5000 left float range
+    rc = main(["optimize", "--model", gsy_file, "--v", "0.8", "--bmax", "50", "--x", "5000"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    payload = json.loads(captured.out)
+    result = optimize_barrier(w_table(DiscountedModel(four_point, 0.8), 52),
+                              "definetti", 0.0, 5000, 50)
+    assert (payload["b_star"], payload["value"]) == (result.b_star, result.value)
+    assert (result.b_star, result.value) == (0, 5001.666666666667)
 
 
 def test_rescaled_scan_past_float_range_names_first_level(gsy_file, capsys):

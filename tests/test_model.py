@@ -19,6 +19,7 @@ from skipfree import (
     WrongKind,
     from_jsonable,
     modified_geometric,
+    phi,
     validate,
     w_table,
 )
@@ -199,6 +200,14 @@ def test_direct_modified_geometric_tail_within_tolerance_is_empty():
         == 1.0 - 0.6 - 0.24
     assert ClaimDistribution(kind="modified_geometric", pmf=(0.5, 0.5 - 1e-11),
                              alpha=0.4).tail_mass == 1.0 - 0.5 - (0.5 - 1e-11)
+
+
+def test_phi_v_is_solved_never_passed(three_point):
+    with pytest.raises(TypeError):
+        DiscountedModel(three_point, 0.9, 0.5)
+    with pytest.raises(TypeError):
+        DiscountedModel(three_point, 0.9, phi_v=0.5)
+    assert DiscountedModel(three_point, 0.9).phi_v == phi(three_point, 0.9)
 
 
 def test_json_round_trip(three_point, modgeom):

@@ -184,6 +184,12 @@ def test_finite_time_ruin_small_horizons(three_point):
     assert np.all(np.diff(dp.ruin, axis=0) >= -1e-15)
 
 
+def test_finite_time_ruin_compares_and_hashes_by_identity(three_point):
+    a, b = finite_time_ruin(three_point, 4, 10), finite_time_ruin(three_point, 4, 10)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_finite_time_ruin_modified_geometric(modgeom):
     dp = finite_time_ruin(modgeom, 3, 8)
     assert np.max(np.abs(dp.ruin + dp.survival - 1.0)) < 1e-12

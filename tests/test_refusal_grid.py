@@ -22,10 +22,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from skipfree import DiscountedModel, LevyChainParams, w_table, wq, zq
+from skipfree import DiscountedModel, LevyChainParams, modified_geometric, w_table, wq, zq
 from skipfree import dividends as dv
 from skipfree import passage as pa
-from skipfree import scale
+from skipfree import golden, scale
 from skipfree.golden import cached_table, four_point_model, three_point_model
 
 TABLES = (
@@ -272,6 +272,19 @@ OFF_TABLE_CALLS = {
 @pytest.mark.parametrize("name", sorted(OFF_TABLE_CALLS))
 def test_numpy_integer_levels_size_columns_like_ints(name):
     assert _dtype_grid(1, OFF_TABLE_CALLS[name], lambda kind: _held(kind)[:-1]) == []
+
+
+# the golden battery's closed forms take a level and no table
+MODGEOM = modified_geometric(0.6, 0.24, 0.4)
+CLOSED_FORMS = {
+    name: partial(lambda form, t, x: form(MODGEOM, 0.9, x), getattr(golden, name))
+    for name in ("closed_form_w_modgeom", "closed_form_z_modgeom")
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_numpy_integer_levels_give_closed_forms_like_ints(name):
+    assert _dtype_grid(1, CLOSED_FORMS[name], _held) == []
 
 
 @pytest.mark.parametrize("rescaled", [False, True])

@@ -130,12 +130,33 @@ def test_dz_is_scaled_w(three_tab):
 def test_generating_function_residuals(three_tab):
     model = three_tab.model
     z = 0.5 * model.phi_v
-    assert abs(gf_residual(model, z, 400, table=three_tab)) < 1e-10
-    assert abs(z_gf_residual(model, z, 400, table=three_tab)) < 1e-10
+    assert abs(gf_residual(three_tab, z, 400)) < 1e-10
+    assert abs(z_gf_residual(three_tab, z, 400)) < 1e-10
     with pytest.raises(DomainError):
-        gf_residual(model, model.phi_v * 1.1, 100)
+        gf_residual(three_tab, model.phi_v * 1.1, 100)
     with pytest.raises(DomainError):
-        gf_residual(model, 0.0, 100)
+        gf_residual(three_tab, 0.0, 100)
+
+
+def test_residuals_read_only_the_table_they_are_given(three_tab):
+    z = 0.5 * three_tab.phi
+    for residual in (gf_residual, z_gf_residual):
+        assert residual(three_tab, z, three_tab.x_max) < 1e-10
+        with pytest.raises(OutOfTable, match=r"x = 411 beyond table range 0\.\.410"):
+            residual(three_tab, z, three_tab.x_max + 1)
+        with pytest.raises(DomainError, match="x_max must be nonnegative"):
+            residual(three_tab, z, -1)
+    rescaled = w_table(three_tab.model, 40, rescaled=True)
+    assert gf_residual(rescaled, z, 40) < 1e-10
+    with pytest.raises(DomainError, match="unavailable on a rescaled table"):
+        z_gf_residual(rescaled, z, 40)
+
+
+def test_tables_compare_and_hash_by_identity(three_tab):
+    a, b = (w_table(three_tab.model, 40) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b}) == 2 and hash(a) != hash(b)
+    assert len(repr(three_tab)) < 100
 
 
 def test_determinant_oracle(three_tab_09):
