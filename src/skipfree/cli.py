@@ -44,7 +44,6 @@ from .errors import SkipfreeError
 from .golden import run_golden_checks
 from .mc import run_dividends_chisquare, run_registry
 from .model import ClaimDistribution, DiscountedModel, _cap_exponent, from_jsonable
-from .passage import finite_time_ruin
 from .scale import w_table
 
 _OBJECTIVES = {
@@ -153,19 +152,13 @@ def cmd_ruin(args: argparse.Namespace) -> int:
     if args.n is not None:
         if args.n < 0:
             raise UsageError("--n must be nonnegative")
-        dist = _load_model(args)
-        dp = finite_time_ruin(dist, args.n, args.xmax)
-        rows = [
-            {"x": x, "ruin": dp.ruin[args.n, x], "survival": dp.survival[args.n, x]}
-            for x in range(args.xmax + 1)
-        ]
+        for surv, ruin in passage._ruin_rows(_load_model(args), args.n, args.xmax):
+            pass  # only row n is printed, so no other row is kept
+        rows = [{"x": x, "ruin": ruin[x], "survival": surv[x]} for x in range(args.xmax + 1)]
         header = "x,ruin,survival"
     else:
         table = _table_for(args, args.xmax, args.rescaled)
-        if args.v == 1.0:
-            fn = passage.eventual_ruin
-        else:
-            fn = passage.discounted_ruin
+        fn = passage.eventual_ruin if args.v == 1.0 else passage.discounted_ruin
         rows = [{"x": x, "ruin": fn(table, x)} for x in range(args.xmax + 1)]
         header = "x,ruin"
     if args.out == "json":

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError
-from .scale import ScaleTable, _diff, _divide, _int
+from .scale import ScaleTable, _divide, _int_arg
+
+_BARRIER, _TARGET = "barrier must be nonnegative", "target level must be nonnegative"
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,10 @@ class BarrierResult:
         }
 
 
-def _check_not_degenerate(table: ScaleTable) -> None:
+def _check_dividends(table: ScaleTable, k: float = 0.0) -> None:
+    """Refuse a negative penalty k, then a table on which dividend values diverge."""
+    if k < 0.0:
+        raise DomainError("penalty factor k must be nonnegative")
     if table._dividends_diverge:
         raise Degenerate(
             "claims never exceed 1 and v = 1: the barrier is never breached "
@@ -63,22 +68,23 @@ def _check_not_degenerate(table: ScaleTable) -> None:
 def definetti_value(table: ScaleTable, b: int, x: int) -> float:
     """Expected discounted dividends under the barrier policy at b.
 
-    W(x) / (W(b+1) - W(b)) below the barrier; the excess above b is
-    paid out immediately.
+    W(x) / (W(b+1) - W(b)) below the barrier, so 0 at x < 0; the excess
+    above b is paid out immediately.
     """
-    if b < 0:
-        raise DomainError("barrier must be nonnegative")
-    _check_not_degenerate(table)
+    if x.__class__ is not int or b.__class__ is not int or b < 0 or table._dividends_diverge:
+        b, x = _int_arg(b, 0, "level", _BARRIER), _int_arg(x, None, "level")
+        _check_dividends(table)
     if x > b:
-        return _diff(x, b) + table.w_over_dw(b, b)
+        return float(x - b) + table.w_over_dw(b, b)
     return table.w_over_dw(x, b)
 
 
 def injections_mgf(table: ScaleTable, b: int, x: int, w: float) -> float:
     """E_x[v^tau * w^(total injections)] for reflection at 0 until
-    the surplus first reaches b: Z(x, w) / Z(b, w)."""
-    if b < 0:
-        raise DomainError("target level must be nonnegative")
+    the surplus first reaches b: Z(x, w) / Z(b, w), 1 at x > b and
+    w^(-x) / Z(b, w) at x < 0, where -x is injected at once."""
+    if x.__class__ is not int or b.__class__ is not int or b < 0:
+        b, x = _int_arg(b, 0, "level", _TARGET), _int_arg(x, None, "level")
     if x > b:
         return 1.0
     return table.z_at(x, w) / table.z_at(b, w)
@@ -88,14 +94,15 @@ def joint_dividends_deficit(
     table: ScaleTable, b: int, x: int, w: float, z: float
 ) -> float:
     """Joint transform E_x[v^ruin * w^(-deficit) * z^(dividends paid)]
-    under the barrier policy at b."""
-    if b < 0:
-        raise DomainError("barrier must be nonnegative")
+    under the barrier policy at b; at x > b, z^(x - b) times its value at b,
+    and w^(-x) at x < 0."""
+    if x.__class__ is not int or b.__class__ is not int or b < 0:
+        b, x = _int_arg(b, 0, "level", _BARRIER), _int_arg(x, None, "level")
     if not 0.0 < z <= 1.0:
         raise DomainError(f"dividend-count argument {z} outside (0, 1]")
     if x > b:
-        return z ** _diff(x, b) * joint_dividends_deficit(table, b, b, w, z)
-    b1 = _int(b) + 1
+        return z ** float(x - b) * joint_dividends_deficit(table, b, b, w, z)
+    b1 = b + 1
     den = table.w(b1) - z * table.w(b)
     if den == 0.0:
         raise Degenerate("dividend barrier is never breached downward")
@@ -107,10 +114,11 @@ def reflected_ruin_gf(table: ScaleTable, b: int, x: int, w: float) -> float:
     """E_x[v^ruin * w^(-deficit)] under the barrier policy at b.
 
     Z(x, w) - (dZ(b, w) / dW(b)) * W(x); algebraically the z = 1 case
-    of the joint transform, computed through the difference form.
+    of the joint transform, computed through the difference form. At
+    x > b its value at b, and w^(-x) at x < 0.
     """
-    if b < 0:
-        raise DomainError("barrier must be nonnegative")
+    if x.__class__ is not int or b.__class__ is not int or b < 0:
+        b, x = _int_arg(b, 0, "level", _BARRIER), _int_arg(x, None, "level")
     if x > b:
         return reflected_ruin_gf(table, b, b, w)
     dwb = table.dw(b)
@@ -126,37 +134,29 @@ def dividends_law_at_barrier(table: ScaleTable, b: int) -> float:
     horizon with survival v, the cumulative dividend count is geometric
     on {0, 1, ...} with success parameter dW(b) / W(b+1).
     """
-    if b < 0:
-        raise DomainError("barrier must be nonnegative")
-    return table.dw(b) / table.w(_int(b) + 1)
+    b = _int_arg(b, 0, "level", _BARRIER)
+    return table.dw(b) / table.w(b + 1)
 
 
 def dividends_law_pgf(table: ScaleTable, b: int, t: float) -> float:
     """Probability generating function of the geometric dividend count."""
-    if b < 0:
-        raise DomainError("barrier must be nonnegative")
+    b = _int_arg(b, 0, "level", _BARRIER)
     if not 0.0 < t <= 1.0:
         raise DomainError(f"pgf argument {t} outside (0, 1]")
     if t == 1.0:
         return 1.0
-    rho = table.w(b) / table.w(_int(b) + 1)
+    rho = table.w(b) / table.w(b + 1)
     return (1.0 - rho) / (1.0 - rho * t)
 
 
 def bailout_value_reflected(table: ScaleTable, b: int, x: int) -> float:
     """Expected discounted deficit payment at ruin under the barrier
-    policy at b: W(x) * dZ1(b) / dW(b) - Z1(x)."""
-    if b < 0:
-        raise DomainError("barrier must be nonnegative")
-    _check_not_degenerate(table)
+    policy at b: W(x) * dZ1(b) / dW(b) - Z1(x); at x > b its value at b,
+    and -x at x < 0."""
+    b, x = _int_arg(b, 0, "level", _BARRIER), _int_arg(x, None, "level")
+    _check_dividends(table)
     x = min(x, b)
     return _divide(table.w(x) * table.dz1(b), table.dw(b)) - table.z1(x)  # dW(b) = 0 at v = 1
-
-
-def _check_penalty(table: ScaleTable, k: float) -> None:
-    if k < 0.0:
-        raise DomainError("penalty factor k must be nonnegative")
-    _check_not_degenerate(table)
 
 
 def _check_discounted(table: ScaleTable, k: float) -> None:
@@ -170,12 +170,12 @@ def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) ->
     reads, formula, check, _ = _SCAN[objective]
     if check:
         check(table, k)
-    lo, hi = _int(lo), _int(hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         return formula(k, *[getattr(table, "_" + name)(lo, hi) for name in reads])
 
 
-# A scalar influence checks its table and k, then applies its _SCAN formula to
+# A scalar influence checks its table and k, then b, in a branch that a Python
+# int b on a table and k that pass skips, then applies its _SCAN formula to
 # the Python floats of the increments _SCAN names, read in that order; where a
 # difference is 0 it takes the scan's value at b, numpy's inf or nan. A numpy k
 # is made a float, whose zero division raises rather than warns.
@@ -183,7 +183,9 @@ def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) ->
 def modified_definetti_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dW(b) of the dividends-minus-
     k-times-deficit objective; maximize over b."""
-    _check_penalty(table, k)
+    if b.__class__ is not int or k < 0.0 or table._dividends_diverge:
+        _check_dividends(table, k)
+        b = _int_arg(b, None, "level")
     try:
         return _SCAN["modified_definetti"][1](float(k), table.dz1(b), table.dw(b))
     except ZeroDivisionError:
@@ -194,11 +196,13 @@ def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> flo
     """Dividends minus k times the discounted deficit, barrier at b.
 
     max(x - b, 0) + W(min(x, b)) * H(b) + k * Z1(min(x, b)), which the
-    boundary conventions extend to x < 0 as well.
+    boundary conventions extend to x < 0 as well: W(x) = 0 and Z1(x) = x.
     """
+    if x.__class__ is not int or b.__class__ is not int:
+        b, x = _int_arg(b, None, "level"), _int_arg(x, None, "level")
     h = modified_definetti_influence(table, b, k)
     xm = b if b < x else x  # min(x, b), and below max(x - b, 0), without the calls
-    return (0.0 if x < b else _diff(x, b)) + table.w(xm) * h + k * table.z1(xm)
+    return (0.0 if x < b else float(x - b)) + table.w(xm) * h + k * table.z1(xm)
 
 
 def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, float]:
@@ -208,13 +212,13 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
     A negative start pays -x in immediate injections, which the Z1
     boundary convention accounts for automatically.
     """
-    if b < 0:
-        raise DomainError("barrier must be nonnegative")
+    if x.__class__ is not int or b.__class__ is not int or b < 0:
+        b, x = _int_arg(b, 0, "level", _BARRIER), _int_arg(x, None, "level")
     if table.v >= 1.0:
         raise DomainError("doubly reflected values need v < 1")
     dzb = table.dz(b)
-    xm = b if b < x else x  # min(x, b), and below max(x - b, 0), in any integer type
-    dividends = (0.0 if x < b else _diff(x, b)) + table.z(xm) / dzb
+    xm = b if b < x else x  # min(x, b), and below max(x - b, 0), without the calls
+    dividends = (0.0 if x < b else float(x - b)) + table.z(xm) / dzb
     bailouts = table.z(xm) * table.dz1(b) / dzb - table.z1(xm)
     return dividends, bailouts
 
@@ -222,7 +226,9 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
 def doubly_reflected_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dZ(b) of dividends minus k times
     bailouts under double reflection; maximize over b."""
-    _check_discounted(table, k)
+    if b.__class__ is not int or table.v >= 1.0:
+        _check_discounted(table, k)
+        b = _int_arg(b, None, "level")
     try:
         return _SCAN["doubly_reflected"][1](float(k), table.dz1(b), table.dz(b))
     except ZeroDivisionError:
@@ -237,14 +243,18 @@ def doubly_reflected_influence_affine(table: ScaleTable, b: int, k: float) -> fl
     """
     if table.v >= 1.0:
         raise DomainError("doubly reflected influence needs v < 1")
+    b = _int_arg(b, 0, "level", _BARRIER)
     return (1.0 - k * table.z(b)) / table.w(b)
 
 
 def doubly_reflected_value(table: ScaleTable, b: int, x: int, k: float) -> float:
-    """Dividends minus k times bailouts, double reflection, barrier b."""
+    """Dividends minus k times bailouts, double reflection, barrier b; the
+    conventions of doubly_reflected_values at x > b and x < 0."""
+    if x.__class__ is not int or b.__class__ is not int:
+        b, x = _int_arg(b, None, "level"), _int_arg(x, None, "level")
     h = doubly_reflected_influence(table, b, k)
     xm = b if b < x else x  # as in modified_definetti_value
-    return (0.0 if x < b else _diff(x, b)) + table.z(xm) * h + k * table.z1(xm)
+    return (0.0 if x < b else float(x - b)) + table.z(xm) * h + k * table.z1(xm)
 
 
 def _strict_local_minima(vals) -> list[int]:
@@ -264,9 +274,7 @@ def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
     More than one entry signals that a single barrier may be beaten by
     a multi-band policy.
     """
-    if b_max < 0:
-        raise DomainError("b_max must be nonnegative")
-    return _strict_local_minima(table._dw(0, _int(b_max)))
+    return _strict_local_minima(table._dw(0, _int_arg(b_max, 0, "b_max")))
 
 
 # objective -> (the increments H(b) reads, in order, among dw, dz and dz1 of
@@ -278,7 +286,7 @@ _SCAN = {
     "definetti": (("dw",), lambda k, dw: 1.0 / dw, None,
                   lambda t, b, x, k: definetti_value(t, b, x)),
     "modified_definetti": (("dz1", "dw"), lambda k, dz1, dw: (1.0 - k * dz1) / dw,
-                           _check_penalty,
+                           _check_dividends,
                            lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
     "doubly_reflected": (("dz1", "dz"), lambda k, dz1, dz: (1.0 - k * dz1) / dz,
                          _check_discounted,
@@ -299,9 +307,7 @@ def optimize_barrier(
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}")
-    if b_max < 0:
-        raise DomainError("b_max must be nonnegative")
-    b_max = _int(b_max)  # b_max - rim in Python ints
+    x, b_max = _int_arg(x, None, "level"), _int_arg(b_max, 0, "b_max")
     h = _influence(objective, table, k, 0, b_max)
     # max() semantics: a nan is passed over unless it stands at b = 0
     best = h[0] if math.isnan(h[0]) else np.nanmax(h)

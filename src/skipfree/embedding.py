@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import DomainError, OverflowSignal
 from .model import ClaimDistribution, DiscountedModel
 from .lundberg import phi
-from .scale import ScaleTable, _int, w_table
+from .scale import ScaleTable, _int_arg, w_table
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,8 @@ def _chain_table(params: LevyChainParams, q: float, x_max: int) -> ScaleTable | 
 def _table_for(params: LevyChainParams, q: float, m: int) -> ScaleTable:
     if q < 0.0:
         raise DomainError("q must be nonnegative")
-    if m < 0:
-        raise DomainError("lattice index must be nonnegative")
-    m = _int(m)  # m + 1 in Python ints
-    size = 64
-    while size < m + 1:
-        size *= 2
+    m = _int_arg(m, 0, "level", "lattice index must be nonnegative")
+    size = max(64, 1 << m.bit_length())  # the least power of 2 from 64 above m
     # the padding can overflow where W(m) itself is still representable
     for x_max in (size, m):
         table = _chain_table(params, float(q), x_max)

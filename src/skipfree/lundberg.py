@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, WrongKind
 from .model import MODIFIED_GEOMETRIC, ClaimDistribution
+from .scale import _int_arg
 
 _XTOL = 1e-15
 _RTOL = 2.0**-50  # 4 machine epsilons, scipy's default
@@ -131,10 +132,8 @@ def upcrossing_pmf(dist: ClaimDistribution, b: int, n_max: int) -> np.ndarray:
     (b / n) * P[C_1 + ... + C_n = n - b] for n >= b >= 1; entries below
     n = b are zero and b = 0 is the unit mass at n = 0.
     """
-    if b < 0:
-        raise DomainError("target level must be nonnegative")
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
+    b = _int_arg(b, 0, "level", "target level must be nonnegative")
+    n_max = _int_arg(n_max, 0, "n_max")
     out = np.zeros(n_max + 1)
     if b == 0:
         out[0] = 1.0
@@ -151,6 +150,7 @@ def lagrange_series(dist: ClaimDistribution, v: float, n_max: int) -> float:
     phi_v = sum over n >= 1 of v^n / n * P[C_1 + ... + C_n = n - 1].
     Useful as an independent cross-check of the bisection root.
     """
+    n_max = _int_arg(n_max, 0, "n_max")
     if not 0.0 < v <= 1.0:
         raise DomainError(f"discount factor {v} outside (0, 1]")
     total = 0.0

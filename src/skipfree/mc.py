@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidFunctional
 from .model import ClaimDistribution
+from .scale import _int_arg
 
 _BIAS_TARGET = 1e-10
 # distinct claim cdf values up to which draw_positive compares and adds
@@ -440,12 +441,12 @@ def simulate(
     fns = (functional,) if isinstance(functional, FunctionalSpec) else tuple(functional)
     if not fns:
         raise InvalidFunctional("no functional to score")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
+    x0, seed, stream = (_int_arg(x0, None, "level"), _int_arg(seed, None, "seed"),
+                        _int_arg(stream, None, "stream"))
+    n_paths = _int_arg(n_paths, 1, "n_paths")
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(fns[0].v)
-    if horizon_cap < 1:
-        raise DomainError("horizon_cap must be at least 1")
+    horizon_cap = _int_arg(horizon_cap, 1, "horizon_cap")
     for fn in fns:
         if not 0.0 < fn.v <= 1.0:
             raise DomainError(f"discount factor {fn.v} outside (0, 1]")
@@ -471,10 +472,9 @@ def _dividend_counts(dist, b, v, x0, n_paths, seed, stream):
     """(counts, paths killed before ruin, time steps, claim epochs) of dividend_count_samples."""
     if not 0.0 < v < 1.0:
         raise DomainError("killed dividend counts need 0 < v < 1")
-    if b < 0 or x0 < 0:
-        raise DomainError("barrier and start must be nonnegative")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
+    b, x0 = (_int_arg(x, 0, "level", "barrier and start must be nonnegative") for x in (b, x0))
+    n_paths, seed, stream = (_int_arg(n_paths, 1, "n_paths"), _int_arg(seed, None, "seed"),
+                             _int_arg(stream, None, "stream"))
     rng = _rng(seed, stream)
     kill = rng.geometric(1.0 - v, size=n_paths)
     (counts,), *counters = _run(_ClaimSampler(dist), x0, (FunctionalSpec("dividend_count"),),
@@ -670,6 +670,7 @@ def default_registry() -> list[RegistryEntry]:
 
 def run_registry(seed: int = 42, n_paths: int = 10**6) -> list[dict]:
     """Evaluate every registered pair; each row carries its z-score."""
+    seed, n_paths = _int_arg(seed, None, "seed"), _int_arg(n_paths, 1, "n_paths")
     rows = []
     for stream, entry in enumerate(default_registry()):
         analytic = float(entry.analytic())
@@ -695,6 +696,7 @@ def run_registry(seed: int = 42, n_paths: int = 10**6) -> list[dict]:
 def run_dividends_chisquare(seed: int = 42, n_paths: int = 10**5) -> dict:
     """Chi-square check that killed cumulative dividends at the barrier
     follow their geometric law, theta read off the registry's table."""
+    seed, n_paths = _int_arg(seed, None, "seed"), _int_arg(n_paths, 1, "n_paths")
     from .dividends import dividends_law_at_barrier
     from .golden import TWO_POINT_V, cached_table, two_point_model
 

@@ -14,9 +14,12 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfTable
 from .model import ClaimDistribution, DiscountedModel
-from .scale import ScaleTable, _diff, _int, _z_tail_terms
+from .scale import ScaleTable, _int_arg, _z_tail_terms
 
 _IDENTITY_TOL = 1e-12
+_UPPER = "upper barrier must be nonnegative"
+_NM = "n and x_max must be nonnegative"
+_CHECK_ROWS = 64  # rows of the finite-horizon DP whose identity is checked at once
 _RATIO_RTOL = 1e-10
 
 
@@ -24,17 +27,19 @@ def upcrossing_price(model: DiscountedModel, x: int, b: int) -> float:
     """E_x[v^tau] for the unrestricted first passage up to level b.
 
     Equals phi_v^(b - x) because each level climbed costs an
-    independent factor phi_v; 1 when already at or above b.
+    independent factor phi_v; 1 when already at or above b, at any integer x and b.
     """
+    x, b = _int_arg(x, None, "level"), _int_arg(b, None, "level")
     if x >= b:
         return 1.0
-    return model.phi_v ** _diff(b, x)
+    return model.phi_v ** float(b - x)
 
 
 def two_sided_up(table: ScaleTable, x: int, upper: int) -> float:
-    """E_x[v^tau; reach upper before ruin] = W(x) / W(upper)."""
-    if upper < 0:
-        raise DomainError("upper barrier must be nonnegative")
+    """E_x[v^tau; reach upper before ruin] = W(x) / W(upper): 1 at x >= upper
+    and 0 at x < 0, already absorbed or ruined."""
+    if x.__class__ is not int or upper.__class__ is not int or upper < 0:
+        x, upper = _int_arg(x, None, "level"), _int_arg(upper, 0, "level", _UPPER)
     if x >= upper:
         return 1.0
     return table.w_ratio(x, upper)
@@ -44,19 +49,20 @@ def deficit_gf(table: ScaleTable, x: int, b: int, w: float) -> float:
     """E_x[v^tau * w^(-X_tau); ruin before reaching b].
 
     Z(x, w) minus the two-sided passage price times Z(b, w); zero when
-    the start is already at or above the upper level b.
+    the start is already at or above the upper level b, and w^(-x) at x < 0.
     """
-    if b < 0:
-        raise DomainError("upper barrier must be nonnegative")
+    if x.__class__ is not int or b.__class__ is not int or b < 0:
+        x, b = _int_arg(x, None, "level"), _int_arg(b, 0, "level", _UPPER)
     if x >= b:
         return 0.0
     return table.z_at(x, w) - table.w_ratio(x, b) * table.z_at(b, w)
 
 
 def expected_deficit(table: ScaleTable, x: int, b: int) -> float:
-    """E_x[v^tau * X_tau; ruin before reaching b], a nonpositive number."""
-    if b < 0:
-        raise DomainError("upper barrier must be nonnegative")
+    """E_x[v^tau * X_tau; ruin before reaching b], a nonpositive number:
+    0 at x >= b and x itself at x < 0."""
+    if x.__class__ is not int or b.__class__ is not int or b < 0:
+        x, b = _int_arg(x, None, "level"), _int_arg(b, 0, "level", _UPPER)
     if x >= b:
         return 0.0
     return table.z1(x) - table.w_ratio(x, b) * table.z1(b)
@@ -66,8 +72,10 @@ def discounted_ruin(table: ScaleTable, x: int) -> float:
     """E_x[v^tau; ruin in finite time] for v < 1.
 
     Z(x) - alpha_v * W(x) with alpha_v = phi_v (1 - v) / (v (1 - phi_v)),
-    which the table computes when it is built.
+    which the table computes when it is built; 1 at x < 0, already ruined.
     """
+    if x.__class__ is not int:
+        x = _int_arg(x, None, "level")
     if table.v >= 1.0:
         raise DomainError("discounted ruin needs v < 1; see eventual_ruin")
     if x < 0:
@@ -79,8 +87,10 @@ def eventual_ruin(table: ScaleTable, x: int) -> float:
     """Probability of ruin ever happening, for v = 1.
 
     1 - (1 - mean) * W(x) in the subcritical case; ruin is certain when
-    the claim mean is at least 1.
+    the claim mean is at least 1, and at x < 0.
     """
+    if x.__class__ is not int:
+        x = _int_arg(x, None, "level")
     if table.v != 1.0:
         raise DomainError("eventual ruin is the v = 1 case")
     if x < 0:
@@ -126,8 +136,9 @@ def ruin_limit_ratio_series(model: DiscountedModel, w: float) -> float:
 def discounted_ruin_gf(table: ScaleTable, x: int, w: float) -> float:
     """E_x[v^tau * w^(-X_tau); ruin in finite time], no upper barrier.
 
-    Z(x, w) minus the ratio limit of Z(b, w) / W(b) times W(x).
+    Z(x, w) minus the ratio limit of Z(b, w) / W(b) times W(x); w^(-x) at x < 0.
     """
+    x = _int_arg(x, None, "level")
     zx = table.z_at(x, w)
     return zx if x <= -1 else zx - ruin_limit_ratio(table, w) * table.w(x)
 
@@ -147,36 +158,46 @@ class RuinDP:
     survival: np.ndarray
 
 
-def finite_time_ruin(dist: ClaimDistribution, n: int, x_max: int) -> RuinDP:
-    """Dynamic program for ruin within n steps, exact in the claim law.
+def _ruin_rows(dist: ClaimDistribution, n: int, x_max: int):
+    """Yield finite_time_ruin's rows m = 0..n, (survival, ruin) on 0..x_max, as
+    views the next row overwrites; then raise NoConvergence where ruin +
+    survival = 1 failed by more than 1e-12, checked _CHECK_ROWS rows at a time.
 
     Works backward in remaining horizon over a state band wide enough
-    that no boundary truncation ever enters the stored grid. The
-    complement identity ruin + survival = 1 is asserted to 1e-12.
+    that no boundary truncation ever enters the rows.
     """
-    if n < 0 or x_max < 0:
-        raise DomainError("n and x_max must be nonnegative")
-    n, x_max = _int(n), _int(x_max)
     top = x_max + n
     kernel = dist.pmf_upto(top + 2 if dist.max_claim is None else dist.max_claim)
     tails = np.array([dist.tail(x + 1) for x in range(top + 1)])
-    surv = np.empty((n + 1, x_max + 1))
-    ruin = np.empty((n + 1, x_max + 1))
-    s = np.ones(top + 1)
-    r = np.zeros(top + 1)
-    surv[0] = s[: x_max + 1]
-    ruin[0] = r[: x_max + 1]
-    for m in range(1, n + 1):
-        width = top - m
-        s_new = np.convolve(kernel, s[: width + 2])[1 : width + 2]
-        r_new = np.convolve(kernel, r[: width + 2])[1 : width + 2] + tails[: width + 1]
-        s[: width + 1] = s_new
-        r[: width + 1] = r_new
-        surv[m] = s[: x_max + 1]
-        ruin[m] = r[: x_max + 1]
-    gap = float(np.max(np.abs(ruin + surv - 1.0)))
+    s, r = np.ones(top + 1), np.zeros(top + 1)
+    sums, maxima = np.empty((min(n + 1, _CHECK_ROWS), x_max + 1)), []
+    for m in range(n + 1):
+        if m:
+            width = top - m
+            s[: width + 1] = np.convolve(kernel, s[: width + 2])[1 : width + 2]
+            r[: width + 1] = np.convolve(kernel, r[: width + 2])[1 : width + 2] + tails[: width + 1]
+        k = m % _CHECK_ROWS
+        np.add(r[: x_max + 1], s[: x_max + 1], out=sums[k])
+        if k == len(sums) - 1 or m == n:
+            block = sums[: k + 1]
+            block -= 1.0
+            maxima.append(np.max(np.abs(block, out=block)))
+        yield s[: x_max + 1], r[: x_max + 1]
+    gap = float(np.max(maxima))
     if gap > _IDENTITY_TOL:
         raise NoConvergence(f"ruin + survival identity violated by {gap:.3e}")
+
+
+def finite_time_ruin(dist: ClaimDistribution, n: int, x_max: int) -> RuinDP:
+    """Dynamic program for ruin within n steps, exact in the claim law.
+
+    Fills RuinDP from the rows of _ruin_rows, whose complement identity
+    ruin + survival = 1 is asserted to 1e-12.
+    """
+    n, x_max = _int_arg(n, 0, "horizon", _NM), _int_arg(x_max, 0, "x_max", _NM)
+    surv, ruin = np.empty((n + 1, x_max + 1)), np.empty((n + 1, x_max + 1))
+    for m, (s, r) in enumerate(_ruin_rows(dist, n, x_max)):
+        surv[m], ruin[m] = s, r
     return RuinDP(n=n, x_max=x_max, ruin=ruin, survival=surv)
 
 
@@ -184,13 +205,13 @@ def killed_resolvent(table: ScaleTable, i: int, j: int, upper: int) -> float:
     """Expected discounted visits to j from i before leaving [0, upper-1].
 
     (W(upper - 1 - j) * W(i) / W(upper) - W(i - j - 1)) / v; zero when
-    either state lies outside the band.
+    either state lies outside the band, i or j below 0 or from upper on.
     """
+    i, j, upper = (_int_arg(level, None, "level") for level in (i, j, upper))
     if not 1 <= upper <= table.x_max:
         raise DomainError("upper must lie inside the table")
     if not (0 <= i < upper and 0 <= j < upper):
         return 0.0
-    i, j, upper = _int(i), _int(j), _int(upper)
     val = table.w(upper - 1 - j) * table.w_ratio(i, upper) - table.w(i - j - 1)
     return val / table.v
 
@@ -202,18 +223,18 @@ def w_at_downcrossing(
 
     With an upper killing barrier the value is
     W(x) - W(x - b) * W(upper) / W(upper - b); without one the barrier
-    is pushed to infinity and the ratio tends to phi_v^(-b).
+    is pushed to infinity and the ratio tends to phi_v^(-b). W(x) at x < b,
+    so 0 at x < 0, and 0 at x >= upper.
     """
-    if b < 0:
-        raise DomainError("crossing level must be nonnegative")
+    x = _int_arg(x, None, "level")
+    b = _int_arg(b, 0, "level", "crossing level must be nonnegative")
+    upper = upper if upper is None else _int_arg(upper, None, "level")
     if x < b:
         return table.w(x)
-    x, b = _int(x), _int(b)
     if upper is None:
         return table.w(x) - table.w(x - b) * table.phi ** float(-b)
     if x >= upper:
         return 0.0
-    upper = _int(upper)
     return table.w(x) - table.w(x - b) * table.w(upper) / table.w(upper - b)
 
 
@@ -249,28 +270,6 @@ def eventual_survival_transform(dist: ClaimDistribution, z: float) -> float:
     return (1.0 - m) / (dist.pgf(z) - z)
 
 
-def _horizon(n) -> int:
-    """n as a Python int; a DomainError if it is below zero, else if not an integer."""
-    if n < 0:
-        raise DomainError("horizon must be nonnegative")
-    if n.__class__ is bool or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"horizon {n!r} is not an integer")
-    return int(n)
-
-
-def _start(table: ScaleTable, x, n: int, what: str = "") -> int:
-    """A start x >= 0 as a Python int, refused by the table's read rule before
-    the DP runs: x + n past x_max, then a column what a rescaled table lacks,
-    then an x that is not an integer."""
-    x = _int(x)  # x + n in Python ints, which do not wrap or overflow
-    if table.x_max < x + n:
-        raise OutOfTable(f"need the table up to x + n = {x + n}")
-    err = table._refused(None, what, (), (x,))
-    if err is not None:
-        raise err
-    return x
-
-
 def _stopped_dp(table: ScaleTable, x: int, n: int, w: float | None):
     """Mass evolution of the walk killed at ruin, with exact tail sums.
 
@@ -300,14 +299,15 @@ def expected_stopped_w(table: ScaleTable, x: int, n: int) -> float:
     """Exact E_x[v^(n and tau) * W(X at n and tau)] over n steps.
 
     The stopped, discounted W sequence is a martingale, so the result
-    should reproduce W(x) for every horizon; useful as an oracle. The
-    horizon n is checked first, then a start x >= 0 by the table's read
-    rule, and W(0..x+n) is read before the DP runs.
+    should reproduce W(x) for every horizon; useful as an oracle, and 0 at
+    x < 0. The horizon n and the start x are checked first, then x + n
+    against the table, and W(0..x+n) is read before the DP runs.
     """
-    n = _horizon(n)
+    n, x = _int_arg(n, 0, "horizon"), _int_arg(x, None, "level")
     if x < 0:
         return 0.0
-    x = _start(table, x, n)
+    if table.x_max < x + n:
+        raise OutOfTable(f"need the table up to x + n = {x + n}")
     vals = table._w_through(0, x + n)[: x + n + 1]
     q, _, disc = _stopped_dp(table, x, n, None)
     return float(disc * np.dot(q, vals))
@@ -316,15 +316,16 @@ def expected_stopped_w(table: ScaleTable, x: int, n: int) -> float:
 def expected_stopped_z(table: ScaleTable, x: int, w: float, n: int) -> float:
     """Exact E_x[v^(n and tau) * Z(X at n and tau, w)] over n steps.
 
-    Checks w, then n and x as expected_stopped_w does, so that a rescaled
-    table, which has no Z(., w) column, is refused before the DP runs.
+    w^(-x) at x < 0. Checks w, then n and x as expected_stopped_w does, so
+    that a rescaled table, which has no Z(., w) column, is refused before the DP runs.
     """
     if not 0.0 < w <= 1.0:
         raise DomainError(f"transform argument {w} outside (0, 1]")
-    n = _horizon(n)
+    n, x = _int_arg(n, 0, "horizon"), _int_arg(x, None, "level")
     if x < 0:
         return table.z_at(x, w)
-    x = _start(table, x, n, "Z(., w)")
+    if table.x_max < x + n:
+        raise OutOfTable(f"need the table up to x + n = {x + n}")
     vals = table.zw_array(w)[: x + n + 1]
     q, absorbed, disc = _stopped_dp(table, x, n, w)
     return float(disc * np.dot(q, vals) + absorbed)

@@ -187,11 +187,16 @@ def _int(x):
     return int(x)
 
 
-def _diff(x, y) -> float:
-    """float(x - y), with numpy integer levels subtracted as Python ints."""
-    if x.__class__ is int and y.__class__ is int:
-        return float(x - y)
-    return float(_int(x) - _int(y))
+def _int_arg(x, lo: int | None, name: str, low: str = "") -> int:
+    """An integer argument of a public function as a Python int. A number below lo
+    (None: no bound) raises DomainError(low), by default "<name> must be nonnegative"
+    or "... at least <lo>"; then a bool, a float (4.0 and nan too), a str, None or any
+    other x that is no int or numpy integer raises "<name> <x!r> is not an integer"."""
+    if lo is not None and isinstance(x, (int, float, np.integer, np.floating)) and x < lo:
+        raise DomainError(low or f"{name} must be " + (f"at least {lo}" if lo else "nonnegative"))
+    if x.__class__ is not int and (x.__class__ is bool or not isinstance(x, (int, np.integer))):
+        raise DomainError(f"{name} {x!r} is not an integer")
+    return int(x)
 
 
 def _index(x) -> int:
@@ -486,9 +491,7 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
     rescaled=True in that case, at the price of losing the Z family), and
     sums W into the Z and Z1 columns.
     """
-    if x_max < 0:
-        raise DomainError("x_max must be nonnegative")
-    x_max = _int(x_max)  # x_max + 1 entries, counted in Python ints
+    x_max = _int_arg(x_max, 0, "x_max")
     if rescaled:
         arr = _w_array_tilted(model, x_max)
         if not np.all(np.isfinite(arr)):
@@ -532,14 +535,13 @@ def dickson_hipp_z(model: DiscountedModel, w: float, x: int) -> float:
 
     Z(x, w) = (pgf(w) - w/v) * sum_{k >= 0} w^k W(x + k), valid for
     0 < w < phi_v. The series is truncated once the geometric bound
-    through the asymptotic constant A certifies a remainder below 1e-12.
+    through the asymptotic constant A certifies a remainder below 1e-12; w^(-x) at x < 0.
     """
-    f = model.phi_v
+    x, f = _int_arg(x, None, "level"), model.phi_v
     if not 0.0 < w < f:
         raise DomainError(f"need 0 < w < phi_v = {f}; got w = {w}")
     if x < 0:
-        return float(w) ** -float(x)  # a Python float for a numpy x too
-    x = _int(x)
+        return float(w) ** -x
     a_const = asymptotic_constant(model)
     if math.isinf(a_const):
         raise DomainError(
@@ -569,7 +571,7 @@ def w_determinant_oracle(model: DiscountedModel, n: int) -> np.ndarray:
     i x i matrix with entries p_{r+1-c}. Intended for small n (at most
     12) and v < 1.
     """
-    if not 1 <= n <= 12:
+    if not 1 <= _int_arg(n, None, "n") <= 12:
         raise DomainError("determinant oracle supports 1 <= n <= 12")
     if model.v >= 1.0:
         raise DomainError("determinant oracle requires v < 1")
@@ -588,15 +590,14 @@ def w_determinant_oracle(model: DiscountedModel, n: int) -> np.ndarray:
 
 
 def _gf_sum(table: ScaleTable, z: float, x_max: int, column) -> float:
-    """sum_{x <= x_max} z^x col(x) for col = column(), once 0 < z < phi_v and
+    """sum_{x <= x_max} z^x col(x) for col = column(x_max), once 0 < z < phi_v and
     0 <= x_max <= table.x_max are checked."""
     if not 0.0 < z < table.phi:
         raise DomainError(f"need 0 < z < phi_v = {table.phi}; got z = {z}")
-    if x_max < 0:
-        raise DomainError("x_max must be nonnegative")
+    x_max = _int_arg(x_max, 0, "x_max")
     if x_max > table.x_max:
         raise OutOfTable(f"x = {x_max} beyond table range 0..{table.x_max}")
-    return float(np.polynomial.polynomial.polyval(z, column()[: _int(x_max) + 1]))
+    return float(np.polynomial.polynomial.polyval(z, column(x_max)[: x_max + 1]))
 
 
 def gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
@@ -607,7 +608,7 @@ def gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
     x_max past the table is OutOfTable: the table is the one whose
     accuracy is measured, so none is built in its place.
     """
-    s = _gf_sum(table, z, x_max, lambda: table._w_through(0, x_max))
+    s = _gf_sum(table, z, x_max, lambda m: table._w_through(0, m))
     return abs((table.model.dist.pgf(z) - z / table.v) * s - 1.0)
 
 
@@ -618,7 +619,7 @@ def z_gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
     sum_x z^x Z(x) = (pgf(z) - z) / ((pgf(z) - z/v)(1 - z)) on
     0 < z < phi_v.
     """
-    s = _gf_sum(table, z, x_max, lambda: table.zw_array(1.0))
+    s = _gf_sum(table, z, x_max, lambda m: table.zw_array(1.0))
     pg = table.model.dist.pgf(z)
     target = (pg - z) / ((pg - z / table.v) * (1.0 - z))
     return abs(s / target - 1.0)

@@ -12,7 +12,7 @@ import skipfree
 
 from skipfree import cli
 from skipfree.cli import main
-from skipfree import DiscountedModel, w_table
+from skipfree import DiscountedModel, finite_time_ruin, from_jsonable, w_table
 from skipfree.dividends import optimize_barrier
 from skipfree.golden import GOLDEN_CHECKS
 
@@ -72,6 +72,16 @@ def test_ruin_finite_horizon_rows(model_file, capsys):
     for line in lines[1:]:
         _, r, s = line.split(",")
         assert float(r) + float(s) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ruin_finite_horizon_prints_row_n_of_the_dp(model_file, capsys):
+    rc = main(["ruin", "--model", model_file, "--n", "40", "--xmax", "30", "--out", "json"])
+    rows = json.loads(capsys.readouterr().out)
+    with open(model_file, encoding="utf-8") as fh:
+        dp = finite_time_ruin(from_jsonable(json.load(fh)), 40, 30)
+    assert rc == 0 and [row["x"] for row in rows] == list(range(31))
+    assert [row["ruin"] for row in rows] == dp.ruin[40].tolist()
+    assert [row["survival"] for row in rows] == dp.survival[40].tolist()
 
 
 def test_passage_report(model_file, capsys):

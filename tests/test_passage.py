@@ -6,6 +6,7 @@ until it converges, and compare against the scale-function formulas.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,28 @@ def test_finite_time_ruin_compares_and_hashes_by_identity(three_point):
     assert len({a, b}) == 2
 
 
+def test_finite_time_ruin_peaks_near_its_output(three_point):
+    # the identity is checked 64 rows at a time, so no temporary as large as the output
+    finite_time_ruin(three_point, 10, 10)
+    tracemalloc.start()
+    try:
+        dp = finite_time_ruin(three_point, 400, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (dp.ruin.nbytes + dp.survival.nbytes)
+
+
+def test_finite_time_ruin_reports_the_identity_gap_of_every_row(three_point, monkeypatch):
+    # 131 rows: two full blocks of 64 and a last one of 3
+    dp = finite_time_ruin(three_point, 130, 20)
+    gap = float(np.max(np.abs(dp.ruin + dp.survival - 1.0)))
+    monkeypatch.setattr(passage, "_IDENTITY_TOL", -1.0)
+    with pytest.raises(NoConvergence) as info:
+        finite_time_ruin(three_point, 130, 20)
+    assert str(info.value) == f"ruin + survival identity violated by {gap:.3e}"
+
+
 def test_finite_time_ruin_modified_geometric(modgeom):
     dp = finite_time_ruin(modgeom, 3, 8)
     assert np.max(np.abs(dp.ruin + dp.survival - 1.0)) < 1e-12
@@ -278,8 +301,8 @@ def test_expected_stopped_are_martingales(three_tab_09):
      f"need the table up to x + n = {2**70 + 4}"),
     (lambda t: expected_stopped_w(t, 2**70, np.int64(4)), OutOfTable,
      f"need the table up to x + n = {2**70 + 4}"),
-    (lambda t: expected_stopped_w(t, 3.5, 2**70), OutOfTable,
-     f"need the table up to x + n = {3.5 + 2**70}"),
+    # a level that is not an integer is refused before x + n is formed
+    (lambda t: expected_stopped_w(t, 3.5, 2**70), DomainError, "level 3.5 is not an integer"),
 ])
 def test_expected_stopped_refuse_bad_levels(three_tab_09, call, error, message):
     with pytest.raises(error) as info:
@@ -298,6 +321,8 @@ def test_expected_stopped_refuse_a_rescaled_table_before_the_dp(monkeypatch):
     with pytest.raises(DomainError, match=r"Z\(\., w\) is unavailable on a rescaled table"):
         expected_stopped_z(rescaled, 0, 0.5, 2002)
     with pytest.raises(DomainError, match="Z"):
+        expected_stopped_z(rescaled, 2, 0.5, 3)
+    with pytest.raises(DomainError, match="level 2.0 is not an integer"):
         expected_stopped_z(rescaled, 2.0, 0.5, 3)
     with pytest.raises(OverflowSignal, match=r"W\(1752\) exceeds float range"):
         expected_stopped_w(rescaled, 0, 2002)

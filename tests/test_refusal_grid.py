@@ -66,12 +66,12 @@ CALLS = {
 }
 
 PINS = {
-    "discounted_ruin_gf": "6c84587b532d466f510eeb7fc93b25a6a244ca080595978311b999128845e774",
+    "discounted_ruin_gf": "b8edd9575deed0cf8d453b3dda6eb5c5d1187952007ddbad86c335791e6c97ca",
     "dw": "bd3d31f0691a66742e52e8150b551a881682b4f1e18f4d2cddc67214c3113a9d",
     "dz": "c6e0ef58f01def4b5d19cb04b9568dfe545edd8e49c6a28d24ee41a7a39d733a",
     "dz1": "1fd4fa93052efa99568e3627e2b555e5864604b72e4496a5ca3f7d91561b74ee",
     "dzw": "9dd0b9740baef88477f22c194528b94773a4cfde89571bfd5a66ded3a09cb875",
-    "expected_stopped_z": "4f89479b1a5a9924201cafd2006762f23e6b26e3c7090a64c46d1a1e46e2c3cf",
+    "expected_stopped_z": "1fb7d43312065a1c03f598cb224405f7f99f101c8e09809e12f1088581c51105",
     "w": "bb896449874da5d097a3b55d1ab037b3e4dcbac86b469a69e6d89294a855f66d",
     "w_over_dw": "7b0e52da85ef5439ca630ad368b8ca23bf6d222513fc84c6e3b69cb799971ca3",
     "w_ratio": "1fae77b79f2bd4c0232b647db5d6d627e2b8726ca5c4c10864a036168854cf1d",
