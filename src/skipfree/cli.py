@@ -13,6 +13,9 @@ Each subcommand accepts only the flags it reads:
   examples   golden reference checks, one line each: no flags
   embed      Levy chain tables: --model --xmax --gamma --step --q
 
+Every real flag (--v --w --k --gamma --step --q) is a decimal or a fraction
+like 65/72; nan, inf and a value past float range are usage errors.
+
 Exit codes: 0 on success, 1 when a golden check or MC concordance
 fails (a NaN z or p fails too), 2 on configuration errors, unknown
 flags included (message on standard error, no partial output). A reader
@@ -85,13 +88,14 @@ _FLAGS = {
     "b": dict(type=int, default=50, help="upper target level (default 50)"),
     "w": dict(type=_rational, default=1.0, help="deficit transform argument in (0, 1]"),
     "objective": dict(choices=sorted(_OBJECTIVES), default="definetti"),
-    "k": dict(type=float, default=None, help="bailout weight (required for modified/doubly)"),
+    "k": dict(type=_rational, default=None,
+              help="bailout weight k >= 0 (required for modified/doubly)"),
     "npaths": dict(type=int, default=10**6, help="paths per registry entry (default 1e6)"),
     "chi-npaths": dict(type=int, default=10**5,
                        help="paths for the dividends chi-square test (default 1e5)"),
-    "gamma": dict(type=float, required=True, help="jump intensity of the embedded chain"),
-    "step": dict(type=float, required=True, help="lattice step h"),
-    "q": dict(type=float, nargs="+", required=True, help="discount rates q >= 0"),
+    "gamma": dict(type=_rational, required=True, help="jump intensity of the embedded chain"),
+    "step": dict(type=_rational, required=True, help="lattice step h"),
+    "q": dict(type=_rational, nargs="+", required=True, help="discount rates q >= 0"),
 }
 
 

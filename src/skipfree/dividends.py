@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError
-from .scale import ScaleTable, _divide, _int_arg
+from .scale import _TRANSFORM, ScaleTable, _divide, _int_arg, _penalty, _real_arg
 
 _BARRIER, _TARGET = "barrier must be nonnegative", "target level must be nonnegative"
 
@@ -54,10 +54,8 @@ class BarrierResult:
         }
 
 
-def _check_dividends(table: ScaleTable, k: float = 0.0) -> None:
-    """Refuse a negative penalty k, then a table on which dividend values diverge."""
-    if k < 0.0:
-        raise DomainError("penalty factor k must be nonnegative")
+def _check_dividends(table: ScaleTable) -> None:
+    """Refuse a table on which dividend values diverge."""
     if table._dividends_diverge:
         raise Degenerate(
             "claims never exceed 1 and v = 1: the barrier is never breached "
@@ -86,6 +84,8 @@ def injections_mgf(table: ScaleTable, b: int, x: int, w: float) -> float:
     if x.__class__ is not int or b.__class__ is not int or b < 0:
         b, x = _int_arg(b, 0, "level", _TARGET), _int_arg(x, None, "level")
     if x > b:
+        if w.__class__ is not float or not 0.0 < w <= 1.0:  # refused though no Z(., w) is read
+            _real_arg(w, "w", _TRANSFORM)
         return 1.0
     return table.z_at(x, w) / table.z_at(b, w)
 
@@ -98,8 +98,8 @@ def joint_dividends_deficit(
     and w^(-x) at x < 0."""
     if x.__class__ is not int or b.__class__ is not int or b < 0:
         b, x = _int_arg(b, 0, "level", _BARRIER), _int_arg(x, None, "level")
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"dividend-count argument {z} outside (0, 1]")
+    if z.__class__ is not float or not 0.0 < z <= 1.0:
+        z = _real_arg(z, "z", "dividend-count argument {} outside (0, 1]")
     if x > b:
         return z ** float(x - b) * joint_dividends_deficit(table, b, b, w, z)
     b1 = b + 1
@@ -140,9 +140,7 @@ def dividends_law_at_barrier(table: ScaleTable, b: int) -> float:
 
 def dividends_law_pgf(table: ScaleTable, b: int, t: float) -> float:
     """Probability generating function of the geometric dividend count."""
-    b = _int_arg(b, 0, "level", _BARRIER)
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"pgf argument {t} outside (0, 1]")
+    b, t = _int_arg(b, 0, "level", _BARRIER), _real_arg(t, "t", "pgf argument {} outside (0, 1]")
     if t == 1.0:
         return 1.0
     rho = table.w(b) / table.w(b + 1)
@@ -159,7 +157,7 @@ def bailout_value_reflected(table: ScaleTable, b: int, x: int) -> float:
     return _divide(table.w(x) * table.dz1(b), table.dw(b)) - table.z1(x)  # dW(b) = 0 at v = 1
 
 
-def _check_discounted(table: ScaleTable, k: float) -> None:
+def _check_discounted(table: ScaleTable) -> None:
     if table.v >= 1.0:
         raise DomainError("doubly reflected influence needs v < 1")
 
@@ -169,25 +167,32 @@ def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) ->
     v = 1, though the exact difference is positive, H is +-inf (nan at 0 / 0)."""
     reads, formula, check, _ = _SCAN[objective]
     if check:
-        check(table, k)
+        check(table)
     with np.errstate(divide="ignore", invalid="ignore"):
         return formula(k, *[getattr(table, "_" + name)(lo, hi) for name in reads])
 
 
-# A scalar influence checks its table and k, then b, in a branch that a Python
-# int b on a table and k that pass skips, then applies its _SCAN formula to
-# the Python floats of the increments _SCAN names, read in that order; where a
-# difference is 0 it takes the scan's value at b, numpy's inf or nan. A numpy k
-# is made a float, whose zero division raises rather than warns.
+def _penalized(k, dz1, d):
+    """(1 - k * dZ1(b)) / d(b), the H of both penalized objectives, on floats or arrays."""
+    return (1.0 - k * dz1) / d
+
+
+# A scalar influence checks k, then its table, then b, in a branch that a Python
+# int b, a Python float k in [0, inf) and a table that pass skip, then applies
+# _penalized, its _SCAN formula, to the Python floats k and the increments _SCAN
+# names, read in that order (so zero division raises rather than warns); where a
+# difference is 0 it takes the scan's value at b, numpy's inf or nan.
 
 def modified_definetti_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dW(b) of the dividends-minus-
-    k-times-deficit objective; maximize over b."""
-    if b.__class__ is not int or k < 0.0 or table._dividends_diverge:
-        _check_dividends(table, k)
+    k-times-deficit objective, for a finite real k >= 0; maximize over b."""
+    if (b.__class__ is not int or k.__class__ is not float or not 0.0 <= k < math.inf
+            or table._dividends_diverge):
+        k = _penalty(k)
+        _check_dividends(table)
         b = _int_arg(b, None, "level")
     try:
-        return _SCAN["modified_definetti"][1](float(k), table.dz1(b), table.dw(b))
+        return _penalized(k, table.dz1(b), table.dw(b))
     except ZeroDivisionError:
         return float(_influence("modified_definetti", table, k, b, b)[0])
 
@@ -198,8 +203,8 @@ def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> flo
     max(x - b, 0) + W(min(x, b)) * H(b) + k * Z1(min(x, b)), which the
     boundary conventions extend to x < 0 as well: W(x) = 0 and Z1(x) = x.
     """
-    if x.__class__ is not int or b.__class__ is not int:
-        b, x = _int_arg(b, None, "level"), _int_arg(x, None, "level")
+    if x.__class__ is not int or b.__class__ is not int or k.__class__ is not float:
+        b, x, k = _int_arg(b, None, "level"), _int_arg(x, None, "level"), _penalty(k)
     h = modified_definetti_influence(table, b, k)
     xm = b if b < x else x  # min(x, b), and below max(x - b, 0), without the calls
     return (0.0 if x < b else float(x - b)) + table.w(xm) * h + k * table.z1(xm)
@@ -225,33 +230,35 @@ def doubly_reflected_values(table: ScaleTable, b: int, x: int) -> tuple[float, f
 
 def doubly_reflected_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dZ(b) of dividends minus k times
-    bailouts under double reflection; maximize over b."""
-    if b.__class__ is not int or table.v >= 1.0:
-        _check_discounted(table, k)
+    bailouts under double reflection, for a finite real k >= 0; maximize over b."""
+    if (b.__class__ is not int or k.__class__ is not float or not 0.0 <= k < math.inf
+            or table.v >= 1.0):
+        k = _penalty(k)
+        _check_discounted(table)
         b = _int_arg(b, None, "level")
     try:
-        return _SCAN["doubly_reflected"][1](float(k), table.dz1(b), table.dz(b))
+        return _penalized(k, table.dz1(b), table.dz(b))
     except ZeroDivisionError:
         return float(_influence("doubly_reflected", table, k, b, b)[0])
 
 
 def doubly_reflected_influence_affine(table: ScaleTable, b: int, k: float) -> float:
-    """Affine-equivalent influence (1 - k * Z(b)) / W(b).
+    """Affine-equivalent influence (1 - k * Z(b)) / W(b), for a finite real k >= 0.
 
     Shares its maximizers with doubly_reflected_influence, being a
     positive affine transform of it in b.
     """
-    if table.v >= 1.0:
-        raise DomainError("doubly reflected influence needs v < 1")
+    k = _penalty(k)
+    _check_discounted(table)
     b = _int_arg(b, 0, "level", _BARRIER)
     return (1.0 - k * table.z(b)) / table.w(b)
 
 
 def doubly_reflected_value(table: ScaleTable, b: int, x: int, k: float) -> float:
-    """Dividends minus k times bailouts, double reflection, barrier b; the
-    conventions of doubly_reflected_values at x > b and x < 0."""
-    if x.__class__ is not int or b.__class__ is not int:
-        b, x = _int_arg(b, None, "level"), _int_arg(x, None, "level")
+    """Dividends minus k >= 0 (a finite real) times bailouts, double reflection,
+    barrier b; the conventions of doubly_reflected_values at x > b and x < 0."""
+    if x.__class__ is not int or b.__class__ is not int or k.__class__ is not float:
+        b, x, k = _int_arg(b, None, "level"), _int_arg(x, None, "level"), _penalty(k)
     h = doubly_reflected_influence(table, b, k)
     xm = b if b < x else x  # as in modified_definetti_value
     return (0.0 if x < b else float(x - b)) + table.z(xm) * h + k * table.z1(xm)
@@ -279,17 +286,15 @@ def multiband_diagnostics(table: ScaleTable, b_max: int) -> list[int]:
 
 # objective -> (the increments H(b) reads, in order, among dw, dz and dz1 of
 # W, Z and Z1; H(b), one expression in k and those increments, which the scan
-# evaluates on arrays and the scalar influences on floats; the check of table
-# and k both make first, or None; value(table, b, x, k)). The values are
-# called by module name, so rebinding one here also reaches the scan
+# evaluates on arrays and the scalar influences on floats; the check of the
+# table both make once k is checked, or None; value(table, b, x, k)). The
+# values are called by module name, so rebinding one here also reaches the scan
 _SCAN = {
     "definetti": (("dw",), lambda k, dw: 1.0 / dw, None,
                   lambda t, b, x, k: definetti_value(t, b, x)),
-    "modified_definetti": (("dz1", "dw"), lambda k, dz1, dw: (1.0 - k * dz1) / dw,
-                           _check_dividends,
+    "modified_definetti": (("dz1", "dw"), _penalized, _check_dividends,
                            lambda t, b, x, k: modified_definetti_value(t, b, x, k)),
-    "doubly_reflected": (("dz1", "dz"), lambda k, dz1, dz: (1.0 - k * dz1) / dz,
-                         _check_discounted,
+    "doubly_reflected": (("dz1", "dz"), _penalized, _check_discounted,
                          lambda t, b, x, k: doubly_reflected_value(t, b, x, k)),
 }
 OBJECTIVES = tuple(_SCAN)
@@ -299,7 +304,8 @@ def optimize_barrier(
     table: ScaleTable, objective: str, k: float, x: int, b_max: int
 ) -> BarrierResult:
     """Scan the influence function of the chosen objective over
-    {0..b_max} and price the resulting barrier at the start x.
+    {0..b_max} and price the resulting barrier at the start x. k is a
+    finite real >= 0 for every objective, though definetti reads none.
 
     The attained flag is False when the best b sits within the final
     rim of the window (rim = max(5, b_max / 5)), in which case the true
@@ -307,7 +313,7 @@ def optimize_barrier(
     """
     if objective not in OBJECTIVES:
         raise DomainError(f"unknown objective {objective!r}")
-    x, b_max = _int_arg(x, None, "level"), _int_arg(b_max, 0, "b_max")
+    x, b_max, k = _int_arg(x, None, "level"), _int_arg(b_max, 0, "b_max"), _penalty(k)
     h = _influence(objective, table, k, 0, b_max)
     # max() semantics: a nan is passed over unless it stands at b = 0
     best = h[0] if math.isnan(h[0]) else np.nanmax(h)

@@ -13,25 +13,26 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, OverflowSignal
+from .errors import OverflowSignal
 from .model import ClaimDistribution, DiscountedModel
 from .lundberg import phi
-from .scale import ScaleTable, _int_arg, w_table
+from .scale import ScaleTable, _int_arg, _real_arg, w_table
+
+_RATE = "q must be nonnegative"
 
 
 @dataclass(frozen=True)
 class LevyChainParams:
-    """Poisson rate gamma, lattice spacing h, and the claim law."""
+    """Poisson rate gamma, lattice spacing h (finite positive floats), and the claim law."""
 
     gamma: float
     h: float
     dist: ClaimDistribution
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise DomainError("gamma must be positive")
-        if self.h <= 0.0:
-            raise DomainError("h must be positive")
+        for name in ("gamma", "h"):
+            object.__setattr__(self, name, _real_arg(
+                getattr(self, name), name, f"{name} must be positive", math.inf, "()"))
 
     @property
     def levy_mass(self) -> float:
@@ -41,13 +42,18 @@ class LevyChainParams:
 
 
 def laplace_exponent(params: LevyChainParams, beta: float) -> float:
-    """psi(beta) = gamma * (e^(beta h) * pgf(e^(-beta h)) - 1)."""
-    if beta < 0.0:
-        raise DomainError("beta must be nonnegative")
+    """psi(beta) = gamma * (e^(beta h) * pgf(e^(-beta h)) - 1), or OverflowSignal past floats."""
+    beta = _real_arg(beta, "beta", "beta must be nonnegative", math.inf, "[)")
     if beta == 0.0:
         return 0.0
-    z = math.exp(-beta * params.h)
-    return params.gamma * (math.exp(beta * params.h) * params.dist.pgf(z) - 1.0)
+    try:  # e^(beta h) first: past its overflow e^(-beta h) may be 0, outside the pgf's domain
+        psi = params.gamma * (math.exp(beta * params.h)
+                              * params.dist.pgf(math.exp(-beta * params.h)) - 1.0)
+    except OverflowError:
+        psi = math.inf
+    if psi == math.inf:
+        raise OverflowSignal(f"psi(beta) exceeds float range at beta = {beta}")
+    return psi
 
 
 def phi_q(params: LevyChainParams, q: float) -> float:
@@ -56,8 +62,7 @@ def phi_q(params: LevyChainParams, q: float) -> float:
     Phi(q) = -ln(phi_v) / h with v = gamma / (gamma + q), so that
     psi(Phi(q)) = q by the Lundberg equation.
     """
-    if q < 0.0:
-        raise DomainError("q must be nonnegative")
+    q = _real_arg(q, "q", _RATE, math.inf, "[)")
     v = params.gamma / (params.gamma + q)
     # the +0.0 turns -0.0 into 0.0 at q=0 in the subcritical case
     return -math.log(phi(params.dist, v)) / params.h + 0.0
@@ -77,13 +82,12 @@ def _chain_table(params: LevyChainParams, q: float, x_max: int) -> ScaleTable | 
 
 
 def _table_for(params: LevyChainParams, q: float, m: int) -> ScaleTable:
-    if q < 0.0:
-        raise DomainError("q must be nonnegative")
+    q = _real_arg(q, "q", _RATE, math.inf, "[)")
     m = _int_arg(m, 0, "level", "lattice index must be nonnegative")
     size = max(64, 1 << m.bit_length())  # the least power of 2 from 64 above m
     # the padding can overflow where W(m) itself is still representable
     for x_max in (size, m):
-        table = _chain_table(params, float(q), x_max)
+        table = _chain_table(params, q, x_max)
         if table is not None:
             return table
     raise OverflowSignal(f"W exceeds float range on 0..{m}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, WrongKind
 from .model import MODIFIED_GEOMETRIC, ClaimDistribution
-from .scale import _int_arg
+from .scale import _DISCOUNT, _int_arg, _real_arg
 
 _XTOL = 1e-15
 _RTOL = 2.0**-50  # 4 machine epsilons, scipy's default
@@ -49,8 +49,7 @@ def phi(dist: ClaimDistribution, v: float) -> float:
     otherwise it is found by bisection, which is guaranteed to converge
     because xi - v * pgf(xi) is negative at 0 and nonnegative at v.
     """
-    if not 0.0 < v <= 1.0:
-        raise DomainError(f"discount factor {v} outside (0, 1]")
+    v = _real_arg(v, "v", _DISCOUNT)
 
     def g(xi: float) -> float:
         return xi - v * dist.pgf(xi)
@@ -100,8 +99,7 @@ def root_pair(dist: ClaimDistribution, v: float) -> RootPair:
     """
     if dist.kind != MODIFIED_GEOMETRIC:
         raise WrongKind("root_pair requires a modified geometric distribution")
-    if not 0.0 < v <= 1.0:
-        raise DomainError(f"discount factor {v} outside (0, 1]")
+    v = _real_arg(v, "v", _DISCOUNT)
     p0, p1, a = dist.p0, dist.p1, dist.alpha
     k_v = (1.0 - a) * (1.0 - p0) - p1 + a / v
     b = p1 - a * p0 - 1.0 / v
@@ -150,9 +148,7 @@ def lagrange_series(dist: ClaimDistribution, v: float, n_max: int) -> float:
     phi_v = sum over n >= 1 of v^n / n * P[C_1 + ... + C_n = n - 1].
     Useful as an independent cross-check of the bisection root.
     """
-    n_max = _int_arg(n_max, 0, "n_max")
-    if not 0.0 < v <= 1.0:
-        raise DomainError(f"discount factor {v} outside (0, 1]")
+    n_max, v = _int_arg(n_max, 0, "n_max"), _real_arg(v, "v", _DISCOUNT)
     total = 0.0
     vn = 1.0
     for n, conv in _convolution_powers(dist, n_max):

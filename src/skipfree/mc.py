@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidFunctional
 from .model import ClaimDistribution
-from .scale import _int_arg
+from .scale import _DISCOUNT, _int_arg, _penalty, _real_arg
 
 _BIAS_TARGET = 1e-10
 # distinct claim cdf values up to which draw_positive compares and adds
@@ -67,7 +67,7 @@ _REFLECT_AT_B = ("reflect_upper", "doubly_reflected")
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Path dynamics: free walk, one-sided reflection, or both sides."""
+    """Path dynamics: free walk, one-sided reflection, or both sides; b an int or None."""
 
     kind: str
     b: int | None = None
@@ -75,8 +75,10 @@ class PolicySpec:
     def __post_init__(self) -> None:
         if self.kind not in _POLICIES:
             raise InvalidFunctional(f"unknown policy kind {self.kind!r}")
-        if self.kind in _REFLECT_AT_B and (self.b is None or self.b < 0):
+        b = None if self.b is None else _int_arg(self.b, None, "b")
+        if self.kind in _REFLECT_AT_B and (b is None or b < 0):
             raise InvalidFunctional(f"policy {self.kind} needs a barrier b >= 0")
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,8 @@ class FunctionalSpec:
     whose downcrossing is priced); upper is the extra killing barrier
     of downcross_w; target_state is the state whose discounted visits
     the resolvent counts; weights are the terminal weights applied at a
-    downcrossing, indexed by the landing state.
+    downcrossing, indexed by the landing state. v, w, z in (0, 1] and a
+    finite k >= 0 are kept as floats, and the levels as ints or None.
     """
 
     kind: str
@@ -100,6 +103,17 @@ class FunctionalSpec:
     upper: int | None = None
     target_state: int | None = None
     weights: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        keep = partial(object.__setattr__, self)
+        keep("v", _real_arg(self.v, "v", _DISCOUNT))
+        for name in ("w", "z"):
+            keep(name, _real_arg(getattr(self, name), name,
+                                 "transform argument {name} = {} outside (0, 1]"))
+        keep("k", _penalty(self.k))
+        for name in ("level", "upper", "target_state"):
+            if getattr(self, name) is not None:
+                keep(name, _int_arg(getattr(self, name), None, name))
 
 
 @dataclass(frozen=True)
@@ -123,8 +137,7 @@ class MCEstimate:
 def default_horizon_cap(v: float) -> int:
     """Smallest horizon whose discounting bias bound v^n / (1-v) is
     below 1e-10; only defined for v < 1."""
-    if not 0.0 < v < 1.0:
-        raise DomainError("horizon cap rule needs 0 < v < 1")
+    v = _real_arg(v, "v", "horizon cap rule needs 0 < v < 1", ends="()")
     return max(1, math.ceil(math.log(_BIAS_TARGET * (1.0 - v)) / math.log(v)))
 
 
@@ -447,12 +460,6 @@ def simulate(
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(fns[0].v)
     horizon_cap = _int_arg(horizon_cap, 1, "horizon_cap")
-    for fn in fns:
-        if not 0.0 < fn.v <= 1.0:
-            raise DomainError(f"discount factor {fn.v} outside (0, 1]")
-        for name, val in (("w", fn.w), ("z", fn.z)):
-            if not 0.0 < val <= 1.0:
-                raise DomainError(f"transform argument {name} = {val} outside (0, 1]")
     kinds = tuple(_KINDS.get(fn.kind) for fn in fns)
     for fn, kind in zip(fns, kinds):
         if kind is None or kind.policy != policy.kind:
@@ -470,8 +477,7 @@ def simulate(
 
 def _dividend_counts(dist, b, v, x0, n_paths, seed, stream):
     """(counts, paths killed before ruin, time steps, claim epochs) of dividend_count_samples."""
-    if not 0.0 < v < 1.0:
-        raise DomainError("killed dividend counts need 0 < v < 1")
+    v = _real_arg(v, "v", "killed dividend counts need 0 < v < 1", ends="()")
     b, x0 = (_int_arg(x, 0, "level", "barrier and start must be nonnegative") for x in (b, x0))
     n_paths, seed, stream = (_int_arg(n_paths, 1, "n_paths"), _int_arg(seed, None, "seed"),
                              _int_arg(stream, None, "stream"))
@@ -514,10 +520,9 @@ def geometric_law_chisquare(
         raise DomainError("no samples")
     if counts.ndim != 1 or counts.dtype.kind not in "iu" or counts.min() < 0:
         raise DomainError("counts must be a flat array of nonnegative integers")
-    if not 0.0 < theta < 1.0:  # also rejects nan
-        raise DomainError(f"geometric parameter {theta} outside (0, 1)")
-    if not min_expected > 0.0:  # else the tail loop never ends
-        raise DomainError(f"min_expected = {min_expected} must be positive")
+    theta = _real_arg(theta, "theta", "geometric parameter {} outside (0, 1)", ends="()")
+    min_expected = _real_arg(min_expected, "min_expected",  # else the tail loop never ends
+                             "min_expected = {} must be positive", math.inf, "()")
     probs = []
     while n * (p := theta * (1.0 - theta) ** len(probs)) >= min_expected:
         probs.append(p)

@@ -270,7 +270,7 @@ class DiscountedModel:
 
     The Lundberg root phi_v is a function of dist and v, so it is not a
     constructor argument: it is solved once at construction, and
-    downstream code reads it without recomputing.
+    downstream code reads it without recomputing. v is kept as the float it equals.
     """
 
     dist: ClaimDistribution
@@ -278,11 +278,10 @@ class DiscountedModel:
     phi_v: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.v <= 1.0:
-            raise DomainError(f"discount factor {self.v} outside (0, 1]")
         from .lundberg import phi
 
         object.__setattr__(self, "phi_v", phi(self.dist, self.v))
+        object.__setattr__(self, "v", float(self.v))
 
     @property
     def subcritical(self) -> bool:

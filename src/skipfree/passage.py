@@ -14,13 +14,14 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfTable
 from .model import ClaimDistribution, DiscountedModel
-from .scale import ScaleTable, _int_arg, _z_tail_terms
+from .scale import _BELOW_PHI, _TRANSFORM, ScaleTable, _int_arg, _real_arg, _z_tail_terms
 
 _IDENTITY_TOL = 1e-12
 _UPPER = "upper barrier must be nonnegative"
 _NM = "n and x_max must be nonnegative"
 _CHECK_ROWS = 64  # rows of the finite-horizon DP whose identity is checked at once
 _RATIO_RTOL = 1e-10
+_SURVIVAL_Z = "need z in (0, 1) distinct from phi_v; got {}"
 
 
 def upcrossing_price(model: DiscountedModel, x: int, b: int) -> float:
@@ -54,6 +55,8 @@ def deficit_gf(table: ScaleTable, x: int, b: int, w: float) -> float:
     if x.__class__ is not int or b.__class__ is not int or b < 0:
         x, b = _int_arg(x, None, "level"), _int_arg(b, 0, "level", _UPPER)
     if x >= b:
+        if w.__class__ is not float or not 0.0 < w <= 1.0:  # refused though no Z(., w) is read
+            _real_arg(w, "w", _TRANSFORM)
         return 0.0
     return table.z_at(x, w) - table.w_ratio(x, b) * table.z_at(b, w)
 
@@ -128,8 +131,7 @@ def ruin_limit_ratio_series(model: DiscountedModel, w: float) -> float:
     table-edge limit.
     """
     f = model.phi_v
-    if not 0.0 < w < f:
-        raise DomainError(f"need 0 < w < phi_v = {f}; got w = {w}")
+    w = _real_arg(w, "w", _BELOW_PHI, f, "()")
     return (model.dist.pgf(w) - w / model.v) * f / (f - w)
 
 
@@ -244,9 +246,9 @@ def survival_double_transform(model: DiscountedModel, z: float) -> float:
     (z / (1 - z) - phi_v / (1 - phi_v)) / (z - v * pgf(z)), valid for
     z in (0, 1) away from phi_v and for phi_v < 1.
     """
-    f = model.phi_v
-    if not 0.0 < z < 1.0 or z == f:
-        raise DomainError(f"need z in (0, 1) distinct from phi_v; got {z}")
+    f, z = model.phi_v, _real_arg(z, "z", _SURVIVAL_Z, ends="()")
+    if z == f:
+        raise DomainError(_SURVIVAL_Z.format(z))
     if f >= 1.0:
         raise DomainError("transform diverges when phi_v = 1")
     num = z / (1.0 - z) - f / (1.0 - f)
@@ -254,17 +256,16 @@ def survival_double_transform(model: DiscountedModel, z: float) -> float:
 
 
 def ruin_double_transform(model: DiscountedModel, z: float) -> float:
-    """Closed form of sum_n sum_x v^n z^x P_x[ruin by n], for v < 1."""
+    """Closed form of sum_n sum_x v^n z^x P_x[ruin by n], for v < 1 and z as survival's."""
     if model.v >= 1.0:
         raise DomainError("double transform needs v < 1")
+    z = _real_arg(z, "z", _SURVIVAL_Z, ends="()")
     return 1.0 / ((1.0 - z) * (1.0 - model.v)) - survival_double_transform(model, z)
 
 
 def eventual_survival_transform(dist: ClaimDistribution, z: float) -> float:
     """Closed form of sum_x z^x P_x[no ruin ever]: (1 - mean)^+ / (pgf(z) - z)."""
-    if not 0.0 < z < 1.0:
-        raise DomainError(f"need z in (0, 1); got {z}")
-    m = dist.mean
+    z, m = _real_arg(z, "z", "need z in (0, 1); got {}", ends="()"), dist.mean
     if m >= 1.0:
         return 0.0
     return (1.0 - m) / (dist.pgf(z) - z)
@@ -319,8 +320,7 @@ def expected_stopped_z(table: ScaleTable, x: int, w: float, n: int) -> float:
     w^(-x) at x < 0. Checks w, then n and x as expected_stopped_w does, so
     that a rescaled table, which has no Z(., w) column, is refused before the DP runs.
     """
-    if not 0.0 < w <= 1.0:
-        raise DomainError(f"transform argument {w} outside (0, 1]")
+    w = _real_arg(w, "w", _TRANSFORM)
     n, x = _int_arg(n, 0, "horizon"), _int_arg(x, None, "level")
     if x < 0:
         return table.z_at(x, w)

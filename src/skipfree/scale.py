@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
+from functools import partial
 
 import numpy as np
 
@@ -152,15 +154,11 @@ def _z_tail_terms(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
 
 
 def z_table_w(model: DiscountedModel, w: float, x_max: int) -> np.ndarray:
-    """Forward recursion for Z(0..x_max, w) with Z(0, w) = 1.
+    """Forward recursion for Z(0..x_max, w) with Z(0, w) = 1, at a w zw_array checked.
 
     The step from x to x+1 sums the claim overshoot exactly through the
     tail terms T(x, w), so no truncation of the claim law is involved.
     """
-    if not 0.0 < w <= 1.0:
-        raise DomainError(f"transform argument {w} outside (0, 1]")
-    if x_max < 0:
-        raise DomainError("x_max must be nonnegative")
     return _recur(_coefficients(model.dist), 1.0, (1.0, model.v), x_max,
                   _z_tail_terms(model, w, x_max))
 
@@ -199,6 +197,33 @@ def _int_arg(x, lo: int | None, name: str, low: str = "") -> int:
     return int(x)
 
 
+def _real_arg(x, name: str, out: str, hi: float = 1.0, ends: str = "(]") -> float:
+    """A real argument of a public function as the Python float it equals, in the interval
+    from 0 to hi with the ends ends ("(]", "()" or "[)"). DomainError: "<name> <x!r> is not
+    a real number" for a bool (np.True_ too) or any x no numbers.Real; "<name> inf is not
+    finite" for +-inf where hi is inf; out.format(float, name=name, hi=hi) outside, nan too."""
+    if x.__class__ is not float:
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+            raise DomainError(f"{name} {x!r} is not a real number")
+        try:
+            x = float(x)
+        except OverflowError:  # an int or a Fraction past float range
+            x = math.inf if x > 0 else -math.inf
+    if hi == math.inf and math.isinf(x):
+        raise DomainError(f"{name} {x} is not finite")
+    if not ((0.0 < x if ends[0] == "(" else 0.0 <= x) and (x < hi if ends[1] == ")" else x <= hi)):
+        raise DomainError(out.format(x, name=name, hi=hi))
+    return x
+
+
+# the messages of the real arguments more than one module checks, and the penalty rule
+_DISCOUNT = "discount factor {} outside (0, 1]"
+_TRANSFORM = "transform argument {} outside (0, 1]"
+_BELOW_PHI = "need 0 < {name} < phi_v = {hi}; got {name} = {}"
+_penalty = partial(_real_arg, name="k", out="penalty factor k must be nonnegative",
+                   hi=math.inf, ends="[)")
+
+
 def _index(x) -> int:
     """A level that is not a Python int as one, for a column read: TypeError
     for a bool or for a level that is not an integer, which _refused names."""
@@ -225,7 +250,8 @@ class ScaleTable:
     zw_array's refusal of w), else DomainError as not an integer (3.5, 2.0,
     True). A division by a difference that rounded to zero gives numpy's
     inf or nan, as the column scans do. z_at and dzw read the view of the
-    last Z(., w) column used without reordering the rest.
+    last Z(., w) column used without reordering the rest, for its own w or
+    a Python float equal to it; any other w goes through zw_array's rule.
 
     The constructor takes the columns w_table builds and nothing it can
     work out: v and phi (the model's v and phi_v) and the caches of
@@ -239,8 +265,8 @@ class ScaleTable:
         self.model, self.x_max, self.rescaled = model, x_max, rescaled
         self._w, self._z, self._z1 = w, z, z1  # Z and Z1 on 0..x_max; empty on a rescaled table
         self._zw: dict[float, np.ndarray] = {}
-        # (w, view of Z(., w)) of the last zw_array call; a nan w equals no argument
-        self._zw_recent: tuple = (math.nan, None)
+        # (w, view of Z(., w)) of the last zw_array call; at first a key no w is or equals
+        self._zw_recent: tuple = (object(), None)
         self._wcol: np.ndarray | None = None  # W multiplied out of a rescaled table's tilted column
         self.v, self.phi = v, phi = model.v, model.phi_v
         self._alpha_v = phi * (1.0 - v) / (v * (1.0 - phi)) if v < 1.0 else math.nan
@@ -440,7 +466,7 @@ class ScaleTable:
         """Z(0..x_max, w), kept for the most recently used transform arguments."""
         if self.rescaled:
             raise self._refused(None, "Z(., w)", ())
-        key = float(w)
+        key = _real_arg(w, "w", _TRANSFORM)
         col = self._zw.pop(key, None)
         if col is None:
             col = self._z if key == 1.0 else z_table_w(self.model, key, self.x_max)
@@ -452,13 +478,11 @@ class ScaleTable:
 
     def z_at(self, x: int, w: float) -> float:
         if x < 0:
-            if not 0.0 < w <= 1.0:
-                raise DomainError(f"transform argument {w} outside (0, 1]")
-            return float(w) ** -float(x)  # a Python float for a numpy x too
+            return _real_arg(w, "w", _TRANSFORM) ** -float(x)  # a Python float for a numpy x too
         # the most recently used column needs no move to the end of _zw
         key, col = self._zw_recent
         try:
-            if key != w:
+            if w is not key and (w.__class__ is not float or w != key):
                 self.zw_array(w)
                 col = self._zw_recent[1]
             if x.__class__ is not int:
@@ -472,7 +496,7 @@ class ScaleTable:
             raise DomainError(_NEGATIVE_STEP)
         key, col = self._zw_recent
         try:
-            if key != w:
+            if w is not key and (w.__class__ is not float or w != key):  # as in z_at
                 self.zw_array(w)
                 col = self._zw_recent[1]
             if b.__class__ is not int:
@@ -538,10 +562,9 @@ def dickson_hipp_z(model: DiscountedModel, w: float, x: int) -> float:
     through the asymptotic constant A certifies a remainder below 1e-12; w^(-x) at x < 0.
     """
     x, f = _int_arg(x, None, "level"), model.phi_v
-    if not 0.0 < w < f:
-        raise DomainError(f"need 0 < w < phi_v = {f}; got w = {w}")
+    w = _real_arg(w, "w", _BELOW_PHI, f, "()")
     if x < 0:
-        return float(w) ** -x
+        return w ** -x
     a_const = asymptotic_constant(model)
     if math.isinf(a_const):
         raise DomainError(
@@ -589,15 +612,14 @@ def w_determinant_oracle(model: DiscountedModel, n: int) -> np.ndarray:
     return out
 
 
-def _gf_sum(table: ScaleTable, z: float, x_max: int, column) -> float:
-    """sum_{x <= x_max} z^x col(x) for col = column(x_max), once 0 < z < phi_v and
-    0 <= x_max <= table.x_max are checked."""
-    if not 0.0 < z < table.phi:
-        raise DomainError(f"need 0 < z < phi_v = {table.phi}; got z = {z}")
+def _gf_sum(table: ScaleTable, z: float, x_max: int, column) -> tuple[float, float]:
+    """(z, sum_{x <= x_max} z^x col(x)) for col = column(x_max), once z is a real in
+    (0, phi_v), made a float, and 0 <= x_max <= table.x_max are checked."""
+    z = _real_arg(z, "z", _BELOW_PHI, table.phi, "()")
     x_max = _int_arg(x_max, 0, "x_max")
     if x_max > table.x_max:
         raise OutOfTable(f"x = {x_max} beyond table range 0..{table.x_max}")
-    return float(np.polynomial.polynomial.polyval(z, column(x_max)[: x_max + 1]))
+    return z, float(np.polynomial.polynomial.polyval(z, column(x_max)[: x_max + 1]))
 
 
 def gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
@@ -608,7 +630,7 @@ def gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
     x_max past the table is OutOfTable: the table is the one whose
     accuracy is measured, so none is built in its place.
     """
-    s = _gf_sum(table, z, x_max, lambda m: table._w_through(0, m))
+    z, s = _gf_sum(table, z, x_max, lambda m: table._w_through(0, m))
     return abs((table.model.dist.pgf(z) - z / table.v) * s - 1.0)
 
 
@@ -619,7 +641,7 @@ def z_gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
     sum_x z^x Z(x) = (pgf(z) - z) / ((pgf(z) - z/v)(1 - z)) on
     0 < z < phi_v.
     """
-    s = _gf_sum(table, z, x_max, lambda m: table.zw_array(1.0))
+    z, s = _gf_sum(table, z, x_max, lambda m: table.zw_array(1.0))
     pg = table.model.dist.pgf(z)
     target = (pg - z) / ((pg - z / table.v) * (1.0 - z))
     return abs(s / target - 1.0)

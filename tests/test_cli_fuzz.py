@@ -106,12 +106,18 @@ def test_drawn_argv_exits_cleanly(model_dir, data):
     assert not caught, (argv, caught)
 
 
+# a subcommand that reads each number flag
+READER = {"--v": "scale", "--w": "passage", "--k": "optimize", "--gamma": "embed",
+          "--step": "embed", "--q": "embed"}
+
+
 @pytest.mark.parametrize("flag, text", [
     ("--v", "1e-16000000"), ("--v", "1e-4000000"), ("--v", "1/0"), ("--v", "1e400"),
-    ("--w", "1e999"),
+    ("--w", "1e999"), ("--k", "nan"), ("--k", "inf"), ("--k", "1e400"), ("--gamma", "inf"),
+    ("--gamma", "nan"), ("--step", "inf"), ("--step", "1/0"), ("--q", "nan"), ("--q", "1e999"),
 ])
 def test_malformed_number_is_refused_at_once(model_dir, deadline, flag, text):
-    command = "passage" if flag == "--w" else "scale"
+    command = READER[flag]
     with deadline(1.0):
         code, err, caught = _call([command, "--model", str(model_dir / "geo.json"), flag, text])
     assert code == 2 and "Traceback" not in err and not caught

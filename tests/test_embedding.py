@@ -42,6 +42,18 @@ def test_laplace_exponent_edges(params):
     assert laplace_exponent(params, beta) == pytest.approx(direct, rel=1e-14)
 
 
+def test_laplace_exponent_overflow_is_signalled(params):
+    # e^(beta h) leaves float range at beta h = 709.78; past 745 e^(-beta h) is 0 as well
+    assert laplace_exponent(params, 1400.0) == pytest.approx(1.3523094063133393e304, rel=1e-12)
+    for beta in (1420.0, 1500.0, 1e6):
+        with pytest.raises(OverflowSignal) as info:
+            laplace_exponent(params, beta)
+        assert str(info.value) == f"psi(beta) exceeds float range at beta = {beta}"
+    # gamma times a finite e^(beta h) pgf(e^(-beta h)) can leave float range too
+    with pytest.raises(OverflowSignal):
+        laplace_exponent(LevyChainParams(1e10, 0.5, params.dist), 1400.0)
+
+
 def test_phi_q_inverts_the_exponent(params):
     assert phi_q(params, 0.0) == 0.0
     assert math.copysign(1.0, phi_q(params, 0.0)) == 1.0  # not -0.0

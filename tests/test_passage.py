@@ -173,6 +173,18 @@ def test_double_transforms_sum_to_product_kernel(three_tab_09):
         survival_double_transform(model, 1.0)
 
 
+def test_ruin_double_transform_refuses_z_as_survival_does(three_tab_09):
+    # z = 1 is refused before 1 / ((1 - z)(1 - v)) is formed, with survival's message
+    model = three_tab_09.model
+    for z in (1.0, 0.0, model.phi_v):
+        with pytest.raises(DomainError) as ruin:
+            ruin_double_transform(model, z)
+        with pytest.raises(DomainError) as survival:
+            survival_double_transform(model, z)
+        assert type(ruin.value) is DomainError and str(ruin.value) == str(survival.value)
+    assert str(ruin.value).startswith("need z in (0, 1) distinct from phi_v; got")
+
+
 def test_finite_time_ruin_small_horizons(three_point):
     dp = finite_time_ruin(three_point, 4, 10)
     assert dp.ruin.shape == (5, 11)
