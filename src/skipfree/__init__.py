@@ -28,8 +28,7 @@ _EXPORTS = {
         "doubly_reflected_influence_affine", "doubly_reflected_value",
         "doubly_reflected_values", "injections_mgf", "joint_dividends_deficit",
         "modified_definetti_influence", "modified_definetti_value",
-        "multiband_diagnostics", "optimize_barrier", "optimize_definetti",
-        "reflected_ruin_gf",
+        "multiband_diagnostics", "optimize_barrier", "reflected_ruin_gf",
     ),
     "embedding": ("LevyChainParams", "laplace_exponent", "phi_q", "wq", "zq"),
     "errors": (
@@ -49,9 +48,9 @@ _EXPORTS = {
     "passage": (
         "RuinDP", "deficit_gf", "discounted_ruin", "discounted_ruin_gf", "eventual_ruin",
         "eventual_survival_transform", "expected_deficit", "expected_stopped_w",
-        "expected_stopped_z", "finite_time_ruin", "killed_resolvent",
-        "ruin_double_transform", "ruin_limit_ratio", "ruin_limit_ratio_series",
-        "survival_double_transform", "two_sided_up", "upcrossing_price", "w_at_downcrossing",
+        "expected_stopped_z", "finite_time_ruin", "killed_resolvent", "ruin_double_transform",
+        "ruin_limit_ratio", "survival_double_transform", "two_sided_up", "upcrossing_price",
+        "w_at_downcrossing",
     ),
     "scale": (
         "ScaleTable", "asymptotic_constant", "dickson_hipp_z", "gf_residual",

@@ -5,7 +5,9 @@ Each subcommand accepts only the flags it reads:
   scale      CSV table of W, dW, Z, Z1: --model --v --xmax
   ruin       eventual, discounted or finite-horizon ruin probabilities:
              --model --v --xmax --n --out --rescaled
-  passage    passage functionals at one level: --model --v --xmax --x --b --w --out
+  passage    passage functionals at one level: --model --v --x --b --w --out;
+             every value reads levels 0..max(x, b) only, so its table is sized
+             from --x and --b
   optimize   barrier optimization with its full influence trace:
              --model --v --bmax --objective --k --x --rescaled; the scan
              reads levels 0..bmax+1 only, so its table is sized from --bmax
@@ -112,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ruin", cmd_ruin, "ruin probabilities (eventual, discounted, or --n steps)",
          "model v xmax n out rescaled"),
         ("passage", cmd_passage, "passage functionals at one starting level",
-         "model v xmax x b w out"),
+         "model v x b w out"),
         ("optimize", cmd_optimize, "optimize a dividend barrier and emit the trace",
          "model v bmax objective k x rescaled"),
         ("mc-verify", cmd_mc_verify, "run the analytic vs Monte Carlo registry",
@@ -177,7 +179,7 @@ def cmd_ruin(args: argparse.Namespace) -> int:
 
 
 def cmd_passage(args: argparse.Namespace) -> int:
-    table = _table_for(args, max(args.xmax, args.b + 1, args.x + 1))
+    table = _table_for(args, max(args.x, args.b, 0))
     report = {
         "v": args.v,
         "x": args.x,

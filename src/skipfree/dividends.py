@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, DomainError
-from .scale import _TRANSFORM, ScaleTable, _divide, _int_arg, _penalty, _real_arg
+from .model import _TRANSFORM, _int_arg, _penalty, _real_arg
+from .scale import ScaleTable, _divide
 
 _BARRIER, _TARGET = "barrier must be nonnegative", "target level must be nonnegative"
 
@@ -334,8 +335,3 @@ def optimize_barrier(
         ties=tuple(ties.tolist()),
         trace=tuple(enumerate(h.tolist())),
     )
-
-
-def optimize_definetti(table: ScaleTable, x: int, b_max: int) -> BarrierResult:
-    """Barrier search for the plain dividend objective."""
-    return optimize_barrier(table, "definetti", 0.0, x, b_max)

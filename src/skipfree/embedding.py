@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import OverflowSignal
-from .model import ClaimDistribution, DiscountedModel
+from .model import ClaimDistribution, DiscountedModel, _int_arg, _real_arg
 from .lundberg import phi
-from .scale import ScaleTable, _int_arg, _real_arg, w_table
+from .scale import ScaleTable, w_table
 
 _RATE = "q must be nonnegative"
 

@@ -161,7 +161,7 @@ def _check_three_point_w() -> tuple[bool, str]:
 
 def _check_three_point_barrier() -> tuple[bool, str]:
     table = cached_table(three_point_model(), THREE_POINT_V, 410)
-    res = dv.optimize_definetti(table, 0, 50)
+    res = dv.optimize_barrier(table, "definetti", 0.0, 0, 50)
     return res.b_star == 0, f"b_star={res.b_star} (want 0)"
 
 
@@ -189,7 +189,7 @@ def _check_two_point_modified() -> tuple[bool, str]:
 def _check_four_point_definetti() -> tuple[bool, str]:
     table = cached_table(four_point_model(), FOUR_POINT_V, 410)
     bands = dv.multiband_diagnostics(table, 200)
-    res = dv.optimize_definetti(table, 0, 200)
+    res = dv.optimize_barrier(table, "definetti", 0.0, 0, 200)
     ok = bands == [1, 7, 38] and res.b_star == 1
     return ok, f"local maxima {bands}, global {res.b_star} (want [1, 7, 38], 1)"
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, WrongKind
-from .model import MODIFIED_GEOMETRIC, ClaimDistribution
-from .scale import _DISCOUNT, _int_arg, _real_arg
+from .model import _DISCOUNT, MODIFIED_GEOMETRIC, ClaimDistribution, _int_arg, _real_arg
 
 _XTOL = 1e-15
 _RTOL = 2.0**-50  # 4 machine epsilons, scipy's default

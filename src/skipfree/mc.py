@@ -53,8 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidFunctional
-from .model import ClaimDistribution
-from .scale import _DISCOUNT, _int_arg, _penalty, _real_arg
+from .model import _DISCOUNT, ClaimDistribution, _int_arg, _penalty, _real_arg
 
 _BIAS_TARGET = 1e-10
 # distinct claim cdf values up to which draw_positive compares and adds
@@ -630,7 +629,7 @@ def default_registry() -> list[RegistryEntry]:
          lambda: passage.eventual_ruin(cached_table(three, 1.0, 20), 0),
          _sim(three, 0, free, "ruin_indicator", 4000, v=1.0, level=40)),
         ("discounted_ruin_gf:heavy,x=2,w=0.6",
-         lambda: passage.discounted_ruin_gf(cached_table(heavy, 0.85, 420), 2, 0.6),
+         lambda: passage.discounted_ruin_gf(cached_table(heavy, 0.85, 20), 2, 0.6),
          _sim(heavy, 2, free, "deficit_gf", v=0.85, w=0.6)),
         ("finite_time_ruin:three_point,x=1,n=12",
          lambda: float(passage.finite_time_ruin(three, 12, 1).ruin[12, 1]),

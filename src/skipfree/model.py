@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Union
 
 import numpy as np
@@ -60,13 +61,53 @@ def _to_fraction(value: Rational) -> Fraction:
             return Fraction(_cap_exponent(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise NotADistribution(f"cannot parse probability {value!r}") from exc
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and value.__class__ is not bool:
         return Fraction(int(value))
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
             raise NotADistribution(f"{value!r} is not a finite number")
         return Fraction(float(value))
     raise NotADistribution(f"unsupported probability type {type(value).__name__}")
+
+
+def _int_arg(x, lo: int | None, name: str, low: str = "") -> int:
+    """An integer argument of a public function as a Python int. A number below lo
+    (None: no bound) raises DomainError(low), by default "<name> must be nonnegative"
+    or "... at least <lo>"; then a bool, a float (4.0 and nan too), a str, None or any
+    other x that is no int or numpy integer raises "<name> <x!r> is not an integer"."""
+    if lo is not None and isinstance(x, (int, float, np.integer, np.floating)) and x < lo:
+        raise DomainError(low or f"{name} must be " + (f"at least {lo}" if lo else "nonnegative"))
+    if x.__class__ is not int and (x.__class__ is bool or not isinstance(x, (int, np.integer))):
+        raise DomainError(f"{name} {x!r} is not an integer")
+    return int(x)
+
+
+def _real_arg(x, name: str, out: str, hi: float = 1.0, ends: str = "(]") -> float:
+    """A real argument of a public function as the Python float it equals, in the interval
+    from 0 to hi with the ends ends ("(]", "()" or "[)"). DomainError: "<name> <x!r> is not
+    a real number" for a bool (np.True_ too) or any x no numbers.Real; "<name> inf is not
+    finite" for +-inf where hi is inf; out.format(float, name=name, hi=hi) outside, nan too."""
+    if x.__class__ is not float:
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+            raise DomainError(f"{name} {x!r} is not a real number")
+        try:
+            x = float(x)
+        except OverflowError:  # an int or a Fraction past float range
+            x = math.inf if x > 0 else -math.inf
+    if hi == math.inf and math.isinf(x):
+        raise DomainError(f"{name} {x} is not finite")
+    if not ((0.0 < x if ends[0] == "(" else 0.0 <= x) and (x < hi if ends[1] == ")" else x <= hi)):
+        raise DomainError(out.format(x, name=name, hi=hi))
+    return x
+
+
+# the messages of the real arguments more than one function checks, and the penalty rule
+_DISCOUNT = "discount factor {} outside (0, 1]"
+_TRANSFORM = "transform argument {} outside (0, 1]"
+_BELOW_PHI = "need 0 < {name} < phi_v = {hi}; got {name} = {}"
+_PGF_ARG = "generating function argument {} outside (0, 1]"
+_penalty = partial(_real_arg, name="k", out="penalty factor k must be nonnegative",
+                   hi=math.inf, ends="[)")
 
 
 @dataclass(frozen=True)
@@ -77,6 +118,11 @@ class ClaimDistribution:
     a "modified_geometric" law has pmf (p_0, p_1), so its tail starts at claim 2
     and holds tail_mass = 1 - p_0 - p_1. Each quantity below is the atoms' term
     plus the tail's, which is exactly 0.0 for a table.
+
+    The methods check their arguments by the public functions' rules: a claim
+    size k or a length n is an integer, a generating function argument a real
+    in (0, 1]. pgf, some 55 calls in each Lundberg root, sends only a z that is
+    not a Python float in range to the rule.
     """
 
     kind: str
@@ -140,7 +186,8 @@ class ClaimDistribution:
         return float(exact) + self.tail_mass * (2.0 - self.alpha) / (1.0 - self.alpha)
 
     def p(self, k: int) -> float:
-        """Probability of a claim of size k."""
+        """Probability of a claim of size k, an integer; 0.0 at k < 0."""
+        k = _int_arg(k, None, "k")
         if k < 0:
             return 0.0
         if k < len(self.pmf):
@@ -148,35 +195,46 @@ class ClaimDistribution:
         return self.tail_mass * (1.0 - self.alpha) * self.alpha ** (k - len(self.pmf))
 
     def pmf_upto(self, n: int) -> np.ndarray:
-        """Dense probability vector (p_0, ..., p_n)."""
+        """Dense probability vector (p_0, ..., p_n) for an integer n >= 0."""
+        n = _int_arg(n, 0, "n")
         out, m = np.empty(n + 1), min(n + 1, len(self.pmf))
         out[:m] = self.pmf[:m]
         out[m:] = self.tail_mass * (1.0 - self.alpha) * self.alpha ** np.arange(n + 1 - m)
         return out
 
     def tail(self, k: int) -> float:
-        """P(C > k)."""
+        """P(C > k) for an integer k; 1.0 at k < 0."""
+        k = _int_arg(k, None, "k")
         if k < 0:
             return 1.0
         return sum(self.pmf[k + 1:]) + self.tail_mass * self.alpha ** max(k + 1 - len(self.pmf), 0)
 
     def pgf(self, z: float) -> float:
-        """Probability generating function E[z^C] for z in (0, 1]."""
-        self._check_z(z)
+        """Probability generating function E[z^C] for a real z in (0, 1]."""
+        if z.__class__ is not float or not 0.0 < z <= 1.0:  # only a failing z reaches the rule
+            z = _real_arg(z, "z", _PGF_ARG)
         a = self.alpha
         return _horner(self.pmf, z) + self.tail_mass * (1.0 - a) * z * z / (1.0 - a * z)
 
     def pgf_prime(self, z: float) -> float:
-        """Derivative of the generating function on (0, 1]."""
-        self._check_z(z)
+        """Derivative of the generating function at a real z in (0, 1]."""
+        z = _real_arg(z, "z", _PGF_ARG)
         a, den = self.alpha, 1.0 - self.alpha * z
         head = _horner([k * p for k, p in enumerate(self.pmf)][1:], z)
         return head + self.tail_mass * (1.0 - a) * z * (2.0 - a * z) / (den * den)
 
-    @staticmethod
-    def _check_z(z: float) -> None:
-        if not 0.0 < z <= 1.0:
-            raise DomainError(f"generating function argument {z} outside (0, 1]")
+    def _pgf_slope(self, w: float, f: float) -> float:
+        """The divided difference (pgf(w) - pgf(f)) / (w - f), pgf'(f) at w = f, for
+        reals w and f in (0, 1]. Over the atoms it is sum_j w^j q_j with q_j = p_{j+1}
+        + f q_{j+1}, both sums taken backward in one Horner loop; the tail adds its
+        closed form. Every term is nonnegative, so nothing cancels."""
+        w, f, a = _real_arg(w, "w", _PGF_ARG), _real_arg(f, "f", _PGF_ARG), self.alpha
+        q = acc = 0.0
+        for p in reversed(self.pmf[1:]):
+            q = p + f * q
+            acc = q + w * acc
+        tail = (w + f - a * w * f) / ((1.0 - a * w) * (1.0 - a * f))
+        return acc + self.tail_mass * (1.0 - a) * tail
 
     def to_jsonable(self) -> dict:
         if self.kind == TABLE:

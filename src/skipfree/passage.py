@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfTable
-from .model import ClaimDistribution, DiscountedModel
-from .scale import _BELOW_PHI, _TRANSFORM, ScaleTable, _int_arg, _real_arg, _z_tail_terms
+from .model import _TRANSFORM, ClaimDistribution, DiscountedModel, _int_arg, _real_arg
+from .scale import ScaleTable, _z_tail_terms
 
 _IDENTITY_TOL = 1e-12
 _UPPER = "upper barrier must be nonnegative"
 _NM = "n and x_max must be nonnegative"
 _CHECK_ROWS = 64  # rows of the finite-horizon DP whose identity is checked at once
-_RATIO_RTOL = 1e-10
 _SURVIVAL_Z = "need z in (0, 1) distinct from phi_v; got {}"
 
 
@@ -105,40 +104,27 @@ def eventual_ruin(table: ScaleTable, x: int) -> float:
 
 
 def ruin_limit_ratio(table: ScaleTable, w: float) -> float:
-    """Limit of Z(b, w) / W(b) as b grows, taken at the table edge.
+    """kappa(w), the limit of Z(b, w) / W(b) as b grows, for w in (0, 1].
 
-    Raises NoConvergence unless the last two ratios agree to 1e-10
-    relative, so callers can trust the returned limit.
+    The closed form phi_v * (1/v - pgf[w, phi_v]), with the pgf's divided
+    difference (its slope at w = phi_v), which sums only nonnegative terms;
+    since phi_v = v * pgf(phi_v) it equals (pgf(w) - w/v) * phi_v / (phi_v - w)
+    off w = phi_v. At v = 1 and w = 1 it is (1 - mean)^+, the constant
+    eventual_ruin reads. It reads the table's model and no column, so it is
+    the same for every table length, rescaled tables included.
     """
-    m = table.x_max
-    if m < 2:
-        raise NoConvergence("table too short to take the ratio limit")
-    zw = table.zw_array(w)
-    warr = table.w_array()
-    r1 = float(zw[m] / warr[m])
-    r0 = float(zw[m - 1] / warr[m - 1])
-    if abs(r1 - r0) > _RATIO_RTOL * max(1.0, abs(r1)):
-        raise NoConvergence(
-            f"ratio Z(b,w)/W(b) still moving at b = {m}: {r0} vs {r1}"
-        )
-    return r1
-
-
-def ruin_limit_ratio_series(model: DiscountedModel, w: float) -> float:
-    """Closed form of the ratio limit, valid for 0 < w < phi_v.
-
-    (pgf(w) - w/v) * phi_v / (phi_v - w); used to cross-check the
-    table-edge limit.
-    """
-    f = model.phi_v
-    w = _real_arg(w, "w", _BELOW_PHI, f, "()")
-    return (model.dist.pgf(w) - w / model.v) * f / (f - w)
+    w = _real_arg(w, "w", _TRANSFORM)
+    if table.v == 1.0 and w == 1.0:
+        return max(table._drift, 0.0)
+    return table.phi * (1.0 / table.v - table.model.dist._pgf_slope(w, table.phi))
 
 
 def discounted_ruin_gf(table: ScaleTable, x: int, w: float) -> float:
     """E_x[v^tau * w^(-X_tau); ruin in finite time], no upper barrier.
 
-    Z(x, w) minus the ratio limit of Z(b, w) / W(b) times W(x); w^(-x) at x < 0.
+    Z(x, w) - kappa(w) * W(x) with kappa(w) = ruin_limit_ratio(table, w), so
+    it reads levels x only: any table through x gives the same bits, and at
+    v = 1 and w = 1 it is eventual_ruin(table, x). w^(-x) at x < 0.
     """
     x = _int_arg(x, None, "level")
     zx = table.z_at(x, w)

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import operator
-from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfTable, OverflowSignal
-from .model import DiscountedModel
+from .model import _BELOW_PHI, _TRANSFORM, DiscountedModel, _int_arg, _real_arg
 
 _SELF_CHECK_RTOL = 1e-10
 _DH_TARGET = 1e-12
@@ -183,45 +181,6 @@ def _int(x):
     if x.__class__ is int or not isinstance(x, np.integer):
         return x
     return int(x)
-
-
-def _int_arg(x, lo: int | None, name: str, low: str = "") -> int:
-    """An integer argument of a public function as a Python int. A number below lo
-    (None: no bound) raises DomainError(low), by default "<name> must be nonnegative"
-    or "... at least <lo>"; then a bool, a float (4.0 and nan too), a str, None or any
-    other x that is no int or numpy integer raises "<name> <x!r> is not an integer"."""
-    if lo is not None and isinstance(x, (int, float, np.integer, np.floating)) and x < lo:
-        raise DomainError(low or f"{name} must be " + (f"at least {lo}" if lo else "nonnegative"))
-    if x.__class__ is not int and (x.__class__ is bool or not isinstance(x, (int, np.integer))):
-        raise DomainError(f"{name} {x!r} is not an integer")
-    return int(x)
-
-
-def _real_arg(x, name: str, out: str, hi: float = 1.0, ends: str = "(]") -> float:
-    """A real argument of a public function as the Python float it equals, in the interval
-    from 0 to hi with the ends ends ("(]", "()" or "[)"). DomainError: "<name> <x!r> is not
-    a real number" for a bool (np.True_ too) or any x no numbers.Real; "<name> inf is not
-    finite" for +-inf where hi is inf; out.format(float, name=name, hi=hi) outside, nan too."""
-    if x.__class__ is not float:
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
-            raise DomainError(f"{name} {x!r} is not a real number")
-        try:
-            x = float(x)
-        except OverflowError:  # an int or a Fraction past float range
-            x = math.inf if x > 0 else -math.inf
-    if hi == math.inf and math.isinf(x):
-        raise DomainError(f"{name} {x} is not finite")
-    if not ((0.0 < x if ends[0] == "(" else 0.0 <= x) and (x < hi if ends[1] == ")" else x <= hi)):
-        raise DomainError(out.format(x, name=name, hi=hi))
-    return x
-
-
-# the messages of the real arguments more than one module checks, and the penalty rule
-_DISCOUNT = "discount factor {} outside (0, 1]"
-_TRANSFORM = "transform argument {} outside (0, 1]"
-_BELOW_PHI = "need 0 < {name} < phi_v = {hi}; got {name} = {}"
-_penalty = partial(_real_arg, name="k", out="penalty factor k must be nonnegative",
-                   hi=math.inf, ends="[)")
 
 
 def _index(x) -> int:

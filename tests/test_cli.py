@@ -12,7 +12,8 @@ import skipfree
 
 from skipfree import cli
 from skipfree.cli import main
-from skipfree import DiscountedModel, finite_time_ruin, from_jsonable, w_table
+from skipfree import (DiscountedModel, discounted_ruin_gf, finite_time_ruin, from_jsonable,
+                      two_sided_up, w_table)
 from skipfree.dividends import optimize_barrier
 from skipfree.golden import GOLDEN_CHECKS
 
@@ -100,6 +101,19 @@ def test_passage_report(model_file, capsys):
     }
     assert 0.0 < float(rows["two_sided_up"]) < 1.0
     assert float(rows["expected_deficit"]) < 0.0
+
+
+@pytest.mark.parametrize("v", ["0.99", "0.999"])
+def test_passage_sizes_its_table_from_x_and_b(gsy_file, capsys, four_point, v):
+    # the deficit transform without a barrier reads kappa(w) in closed form, so a
+    # slowly converging Z(b, w) / W(b) is no refusal and no level past x or b is read
+    rc = main(["passage", "--model", gsy_file, "--v", v, "--x", "2", "--b", "6", "--w", "0.7",
+               "--out", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    table = w_table(DiscountedModel(four_point, float(v)), 6)
+    assert report["discounted_ruin_gf"] == discounted_ruin_gf(table, 2, 0.7)
+    assert report["two_sided_up"] == two_sided_up(table, 2, 6)
 
 
 def test_optimize_doubly_reports_json(gsy_file, capsys):
@@ -248,7 +262,6 @@ def test_overflowing_embed_under_warnings_as_errors(model_file):
     ["embed", "--gamma", "2", "--step", "0.5", "--q", "0", "--xmax", "-1"],
     ["ruin", "--xmax", "-1"],
     ["ruin", "--n", "3", "--xmax", "-1"],
-    ["passage", "--v", "0.9", "--xmax", "-1"],
 ])
 def test_negative_xmax_is_a_usage_error(model_file, capsys, argv):
     rc = main([argv[0], "--model", model_file, *argv[1:]])

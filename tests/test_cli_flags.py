@@ -9,7 +9,7 @@ from skipfree.cli import _build_parser, main
 EXPECTED = {
     "scale": {"--model", "--v", "--xmax"},
     "ruin": {"--model", "--v", "--xmax", "--n", "--out", "--rescaled"},
-    "passage": {"--model", "--v", "--xmax", "--x", "--b", "--w", "--out"},
+    "passage": {"--model", "--v", "--x", "--b", "--w", "--out"},
     "optimize": {"--model", "--v", "--bmax", "--objective", "--k", "--x", "--rescaled"},
     "mc-verify": {"--seed", "--npaths", "--chi-npaths"},
     "embed": {"--model", "--xmax", "--gamma", "--step", "--q"},
@@ -29,7 +29,7 @@ def _flags():
 def test_each_subcommand_has_exactly_its_flags():
     flags = _flags()
     assert flags == EXPECTED
-    assert sum(len(f) for f in flags.values()) == 31
+    assert sum(len(f) for f in flags.values()) == 30
 
 
 @pytest.mark.parametrize("argv", [
@@ -40,6 +40,7 @@ def test_each_subcommand_has_exactly_its_flags():
     ["scale", "--model", "m.json", "--rescaled"],
     ["passage", "--model", "m.json", "--bmax", "10"],
     ["passage", "--model", "m.json", "--rescaled"],
+    ["passage", "--model", "m.json", "--xmax", "10"],
     ["examples", "--seed", "1"],
     ["optimize", "--model", "m.json", "--xmax", "10"],
 ])

@@ -23,7 +23,6 @@ from skipfree import (
     modified_definetti_value,
     multiband_diagnostics,
     optimize_barrier,
-    optimize_definetti,
     reflected_ruin_gf,
     validate,
     w_table,
@@ -61,7 +60,7 @@ def test_degenerate_model_raises(degenerate_tab):
     with pytest.raises(Degenerate):
         bailout_value_reflected(degenerate_tab, 3, 1)
     with pytest.raises(Degenerate):
-        optimize_definetti(degenerate_tab, 0, 10)
+        optimize_barrier(degenerate_tab, "definetti", 0.0, 0, 10)
     with pytest.raises(Degenerate):
         joint_dividends_deficit(degenerate_tab, 3, 1, 1.0, 1.0)
 
@@ -259,7 +258,7 @@ def test_optimizer_input_guards(three_tab_09):
 
 
 def test_optimizer_lemma_case_heuristic(three_tab_09):
-    res = optimize_definetti(three_tab_09, 7, 30)
+    res = optimize_barrier(three_tab_09, "definetti", 0.0, 7, 30)
     assert res.b_star == 0
     assert res.lemma_case == "heuristic"
     assert res.value == pytest.approx(7.0 + definetti_value(three_tab_09, 0, 0), rel=1e-12)
@@ -269,7 +268,7 @@ def test_dominance_of_the_best_barrier(three_tab_09, two_tab, gsy_tab):
     # the winning barrier beats every other barrier at every start
     # at or below it
     for table, b_max in ((three_tab_09, 30), (two_tab, 50), (gsy_tab, 60)):
-        res = optimize_definetti(table, 0, b_max)
+        res = optimize_barrier(table, "definetti", 0.0, 0, b_max)
         for b in range(0, b_max + 1, 5):
             for x in range(0, res.b_star + 1):
                 assert definetti_value(table, res.b_star, x) >= definetti_value(

@@ -1,8 +1,9 @@
 """One rule for every integer argument and one for every real argument of
 every public function, and for the fields of the four input dataclasses.
 
-The grid is generated from skipfree.__all__ and inspect.signature, so a new
-public function is covered without editing this file. Each parameter whose
+The grid is generated from skipfree.__all__, the public methods of
+ClaimDistribution and inspect.signature, so a new public function or method
+is covered without editing this file. Each parameter whose
 annotation names int:
 
 - refuses a value that is not an integer (a float, 4.0 and nan too, a bool, a
@@ -33,8 +34,9 @@ import numpy as np
 import pytest
 
 import skipfree
-from skipfree import (DiscountedModel, DomainError, FunctionalSpec, LevyChainParams, PolicySpec,
-                      ScaleTable, SkipfreeError, modified_geometric, w_table)
+from skipfree import (ClaimDistribution, DiscountedModel, DomainError, FunctionalSpec,
+                      LevyChainParams, PolicySpec, ScaleTable, SkipfreeError, modified_geometric,
+                      w_table)
 from skipfree import embedding, lundberg, mc, passage, scale
 from skipfree.golden import three_point_model
 
@@ -46,13 +48,14 @@ GOOD = {
     "dist": DIST, "model": TABLE.model, "table": TABLE, "params": LevyChainParams(2.0, 0.5, DIST),
     "policy": PolicySpec("free"), "functional": FunctionalSpec("discounted_ruin", v=0.9),
     "objective": "definetti", "rescaled": False,
-    "v": 0.9, "w": 0.5, "z": 0.5, "t": 0.5, "k": 1.2, "q": 0.4, "beta": 0.7, "theta": 0.4,
+    "v": 0.9, "w": 0.5, "z": 0.5, "t": 0.5, "f": 0.6, "k": 1.2, "q": 0.4, "beta": 0.7, "theta": 0.4,
     "min_expected": 5.0, "counts": np.array([0, 1, 0, 2, 1, 0, 3, 0, 1, 0] * 12),
     "x": 2, "b": 3, "upper": 6, "i": 1, "j": 2, "n": 3, "m": 3, "x_max": 8, "b_max": 8,
     "n_max": 5, "x0": 2, "n_paths": 20, "seed": 1, "stream": 0, "horizon_cap": 30,
 }
 # where a function needs another value than GOOD's
 OVERRIDES = {"eventual_ruin": {"table": w_table(DiscountedModel(DIST, 1.0), 20)},
+             **{f"ClaimDistribution.{name}": {"k": 2} for name in ("p", "tail")},
              "run_dividends_chisquare": {"n_paths": 120},
              "root_pair": {"dist": modified_geometric(0.6, 0.24, 0.4)}}
 
@@ -85,12 +88,13 @@ BELOW = {
     **{(name, "n_max"): "n_max must be nonnegative" for name in (
         "lagrange_series", "upcrossing_pmf")},
     **{(name, "b_max"): "b_max must be nonnegative" for name in (
-        "multiband_diagnostics", "optimize_barrier", "optimize_definetti")},
+        "multiband_diagnostics", "optimize_barrier")},
     **{(name, "x_max"): "x_max must be nonnegative" for name in (
         "gf_residual", "w_table", "z_gf_residual")},
     **{(name, "n_paths"): "n_paths must be at least 1" for name in (
         "dividend_count_samples", "run_dividends_chisquare", "run_registry", "simulate")},
     ("simulate", "horizon_cap"): "horizon_cap must be at least 1",
+    ("ClaimDistribution.pmf_upto", "n"): "n must be nonnegative",
 }
 
 NOT_INTEGERS = (2.5, 4.0, np.float64(4.0), True, np.True_, math.nan, "3", None)
@@ -104,6 +108,10 @@ def _params(fn, kind):
 
 FUNCTIONS = {name: getattr(skipfree, name) for name in skipfree.__all__
              if inspect.isfunction(getattr(skipfree, name))}
+# the public methods of ClaimDistribution, bound to DIST, and the pgf's divided difference
+FUNCTIONS.update({f"ClaimDistribution.{name}": getattr(DIST, name)
+                  for name, _ in inspect.getmembers(ClaimDistribution, inspect.isfunction)
+                  if not name.startswith("_") or name == "_pgf_slope"})
 PAIRS = [(name, p.name) for name, fn in FUNCTIONS.items() for p in _params(fn, "int")]
 REAL_PAIRS = [(name, p.name) for name, fn in FUNCTIONS.items() for p in _params(fn, "float")]
 

@@ -55,6 +55,17 @@ def test_validate_rejects_bad_input():
         validate([])
 
 
+def test_a_bool_is_no_probability():
+    # True == 1 and False == 0, but a flag is not a probability
+    for bad in ([True, False], [np.True_], ["1/2", True]):
+        with pytest.raises(NotADistribution, match="unsupported probability type bool"):
+            validate(bad)
+    with pytest.raises(NotADistribution, match="unsupported probability type bool"):
+        modified_geometric(0.5, False, 0.4)
+    with pytest.raises(NotADistribution, match="unsupported probability type bool"):
+        from_jsonable('{"type": "table", "pmf": [true]}')
+
+
 def test_pgf_basics(three_point):
     assert three_point.pgf(1.0) == pytest.approx(1.0, abs=1e-15)
     # direct power sum

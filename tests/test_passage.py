@@ -7,6 +7,7 @@ until it converges, and compare against the scale-function formulas.
 
 import hashlib
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from skipfree import (
     expected_stopped_z,
     finite_time_ruin,
     killed_resolvent,
+    modified_geometric,
     ruin_double_transform,
     ruin_limit_ratio,
-    ruin_limit_ratio_series,
     survival_double_transform,
     two_sided_up,
     upcrossing_price,
@@ -38,7 +39,7 @@ from skipfree import (
     w_table,
 )
 from skipfree import passage
-from skipfree.golden import cached_table, four_point_model
+from skipfree.golden import cached_table, four_point_model, three_point_model, two_point_model
 
 
 def _value_iterate(dist, v, w, b, sweeps=3000):
@@ -340,22 +341,109 @@ def test_expected_stopped_refuse_a_rescaled_table_before_the_dp(monkeypatch):
         expected_stopped_w(rescaled, 0, 2002)
 
 
-def test_ruin_limit_ratio_routes_agree(three_tab_09):
-    model = three_tab_09.model
-    for w in (0.2, 0.5, 0.7):
-        assert ruin_limit_ratio(three_tab_09, w) == pytest.approx(
-            ruin_limit_ratio_series(model, w), rel=1e-9
-        )
-    # beyond phi the series route is out of domain but the table-edge
-    # limit still exists
-    with pytest.raises(DomainError):
-        ruin_limit_ratio_series(model, model.phi_v + 0.01)
-    assert np.isfinite(ruin_limit_ratio(three_tab_09, 0.95))
+# the grid kappa(w) is pinned on: five laws, six discounts (v = 1 left out on
+# the supercritical law), and w at fixed points and at fractions of phi_v
+KAPPA_LAWS = {
+    "three_point": three_point_model(),
+    "two_point": two_point_model(),
+    "four_point": four_point_model(),
+    "modgeom": modified_geometric(0.6, 0.24, 0.4),
+    "heavy": validate(["1/2", "0", "0", "1/2"]),
+}
+KAPPA_V = (0.8, 0.85, 0.9, 0.99, 0.999, 1.0)
 
 
-def test_ruin_limit_ratio_short_table(three_point):
-    from skipfree import DiscountedModel
+def _kappa_grid():
+    cases = []
+    for name, dist in KAPPA_LAWS.items():
+        for v in KAPPA_V:
+            if v == 1.0 and dist.mean > 1.0:
+                continue
+            f = DiscountedModel(dist, v).phi_v
+            ws = (0.05, 0.3 * f, 0.7, 0.9 * f, f, (f + 1.0) / 2.0, 1.0)
+            cases += [(name, v, w) for w in dict.fromkeys(ws)]
+    return cases
 
-    short = w_table(DiscountedModel(three_point, 0.9), 1)
-    with pytest.raises(NoConvergence):
-        ruin_limit_ratio(short, 0.5)
+
+KAPPA_GRID = _kappa_grid()
+
+
+def _decimal_pgf(dist, z, order=0):
+    """pgf(z) (order 0) or pgf'(z) (order 1) in Decimal, from the library's floats."""
+    p, a = [Decimal(x) for x in dist.pmf], Decimal(dist.alpha)
+    geo = Decimal(dist.tail_mass) * (1 - a)
+    if order == 0:
+        return sum(pk * z**k for k, pk in enumerate(p)) + geo * z * z / (1 - a * z)
+    return (sum(k * pk * z ** (k - 1) for k, pk in enumerate(p) if k)
+            + geo * z * (2 - a * z) / (1 - a * z) ** 2)
+
+
+def _decimal_kappa(dist, v, w):
+    """kappa(w) = phi (1/v - pgf[w, phi]) at 60 digits, at a 60-digit Lundberg root
+    that Newton's method finds from the library's float root."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v, w = Decimal(v), Decimal(w)
+        if v == 1 and dist.mean <= 1.0:
+            f = Decimal(1)
+        else:
+            f = Decimal(DiscountedModel(dist, float(v)).phi_v)
+            for _ in range(12):
+                f -= (f - v * _decimal_pgf(dist, f)) / (1 - v * _decimal_pgf(dist, f, 1))
+        if w == f:
+            slope = _decimal_pgf(dist, f, 1)
+        else:
+            slope = (_decimal_pgf(dist, w) - _decimal_pgf(dist, f)) / (w - f)
+        return f * (1 / v - slope)
+
+
+def test_kappa_grid_has_195_cases():
+    assert len(KAPPA_GRID) == 195
+
+
+@pytest.mark.parametrize("law, v", [(law, v) for law in KAPPA_LAWS for v in KAPPA_V
+                                    if v < 1.0 or KAPPA_LAWS[law].mean <= 1.0])
+def test_ruin_limit_ratio_is_the_closed_form(law, v):
+    dist = KAPPA_LAWS[law]
+    table = w_table(DiscountedModel(dist, v), 2)
+    for name, vv, w in KAPPA_GRID:
+        if (name, vv) == (law, v):
+            want = _decimal_kappa(dist, v, w)
+            assert abs(Decimal(ruin_limit_ratio(table, w)) / want - 1) <= Decimal("1e-12"), w
+
+
+def test_ruin_limit_ratio_at_w_1_is_alpha_v():
+    for dist in KAPPA_LAWS.values():
+        for v in KAPPA_V[:-1]:
+            table = w_table(DiscountedModel(dist, v), 0)
+            assert ruin_limit_ratio(table, 1.0) == pytest.approx(table._alpha_v, rel=1e-12)
+
+
+def test_ruin_limit_ratio_reads_no_column(three_point):
+    model = DiscountedModel(three_point, 0.9)
+    want = ruin_limit_ratio(w_table(model, 400), 0.7)
+    rescaled = w_table(model, 20, rescaled=True)
+    for table in (w_table(model, 0), w_table(model, 1), rescaled):
+        assert ruin_limit_ratio(table, 0.7) == want
+    for w in (0.0, 1.5, float("nan")):
+        with pytest.raises(DomainError, match=r"^transform argument .* outside \(0, 1\]$"):
+            ruin_limit_ratio(rescaled, w)
+    # the deficit transform still reads Z(x, w), which a rescaled table lacks
+    with pytest.raises(DomainError, match=r"Z\(\., w\) is unavailable on a rescaled table"):
+        discounted_ruin_gf(rescaled, 2, 0.7)
+
+
+def test_discounted_ruin_gf_is_eventual_ruin_at_v_1():
+    for dist in KAPPA_LAWS.values():
+        table = w_table(DiscountedModel(dist, 1.0), 30)
+        for x in range(-3, 31):
+            assert discounted_ruin_gf(table, x, 1.0) == eventual_ruin(table, x), x
+
+
+def test_discounted_ruin_gf_does_not_depend_on_table_length():
+    for dist in KAPPA_LAWS.values():
+        for v in (0.9, 0.999):
+            short, long = (w_table(DiscountedModel(dist, v), n) for n in (20, 400))
+            for w in (0.3, 0.7, 1.0):
+                for x in range(21):
+                    assert discounted_ruin_gf(short, x, w) == discounted_ruin_gf(long, x, w)

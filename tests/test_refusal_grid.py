@@ -66,7 +66,7 @@ CALLS = {
 }
 
 PINS = {
-    "discounted_ruin_gf": "b8edd9575deed0cf8d453b3dda6eb5c5d1187952007ddbad86c335791e6c97ca",
+    "discounted_ruin_gf": "24f07f03df68587180f684f2530d0c20f4a0e4a312e775437109b80460b63d5e",
     "dw": "bd3d31f0691a66742e52e8150b551a881682b4f1e18f4d2cddc67214c3113a9d",
     "dz": "c6e0ef58f01def4b5d19cb04b9568dfe545edd8e49c6a28d24ee41a7a39d733a",
     "dz1": "1fd4fa93052efa99568e3627e2b555e5864604b72e4496a5ca3f7d91561b74ee",
@@ -210,7 +210,6 @@ LEVEL_CALLS = {
         2, partial(lambda objective, t, x, b_max: dv.optimize_barrier(t, objective, 1.2, x, b_max),
                    objective))
        for objective in dv.OBJECTIVES},
-    "optimize_definetti": (2, dv.optimize_definetti),
 }
 
 

@@ -96,7 +96,7 @@ PINS = {
     "bailout_value_reflected": "900124797bc9aa585536bcb750f997223594840e4dd32d432afcdcf9c1b3f87b",
     "deficit_gf": "36e6c6249bedd28939fc3d78c2f603745a42261d37c6a6eddd41050818c7d9fc",
     "definetti_value": "e6a7eb65604904dfa97a38854491eaabe2761ec11c870ab75a6801c80f6d310f",
-    "discounted_ruin_gf": "b5ec88c5aef10fb95363332586fa96386f830069f78115e8a9cb475064dba379",
+    "discounted_ruin_gf": "3f493889b4d0546d7637c832afa18d77268b866826a8b5e4260addfd601ae3ee",
     "dividends_law": "40817eb2016c328a547b6af1a2db21fb3cb673cbb32ce3292f1b6a9df2e4e3be",
     "doubly_reflected": "e7700147015e51b8cfa48d4313da5ec816e947b7f26a2356a3321061a8e0232a",
     "expected_deficit": "5710aefa845f3db1cf8dfe6b00340a5235d3804703703635f038a2085f0594ec",
