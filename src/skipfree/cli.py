@@ -10,7 +10,7 @@ Each subcommand accepts only the flags it reads:
              from --x and --b
   optimize   barrier optimization with its full influence trace:
              --model --v --bmax --objective --k --x --rescaled; the scan
-             reads levels 0..bmax+1 only, so its table is sized from --bmax
+             reads levels 0..bmax+1 only, so its table holds just those
   mc-verify  analytic vs Monte Carlo registry: --seed --npaths --chi-npaths
   examples   golden reference checks, one line each: no flags
   embed      Levy chain tables: --model --xmax --gamma --step --q
@@ -211,8 +211,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if objective != "definetti" and args.k is None:
         raise UsageError(f"--k is required for objective {args.objective}")
     k = 0.0 if args.k is None else args.k
-    # a negative --bmax builds 2 levels and optimize_barrier refuses it
-    table = _table_for(args, max(args.bmax, 0) + 2, args.rescaled)
+    # the scan and the value at b* read levels 0..bmax+1; a negative --bmax
+    # builds levels 0..1 and optimize_barrier refuses it
+    table = _table_for(args, max(args.bmax, 0) + 1, args.rescaled)
     result = dv.optimize_barrier(table, objective, k, args.x, args.bmax)
     print(json.dumps(_finite_or_null(result.to_jsonable()), indent=2, allow_nan=False))
     return 0

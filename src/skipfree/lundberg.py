@@ -13,68 +13,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, WrongKind
+from .errors import DomainError, WrongKind
 from .model import _DISCOUNT, MODIFIED_GEOMETRIC, ClaimDistribution, _int_arg, _real_arg
-
-_XTOL = 1e-15
-_RTOL = 2.0**-50  # 4 machine epsilons, scipy's default
-_MAXITER = 200
-
-
-def _bisect(f, xa: float, xb: float) -> float:
-    """Root of f on a sign-changing bracket [xa, xb], by the steps of
-    scipy.optimize.bisect at xtol = _XTOL, so it returns the same float."""
-    fa = f(xa)
-    if fa == 0.0:
-        return xa
-    if f(xb) == 0.0:
-        return xb
-    dm = xb - xa
-    for _ in range(_MAXITER):
-        dm *= 0.5
-        xm = xa + dm
-        fm = f(xm)
-        if fm * fa >= 0.0:
-            xa = xm
-        if fm == 0.0 or abs(dm) < _XTOL + _RTOL * abs(xm):
-            return xm
-    raise NoConvergence(f"bisection did not converge in {_MAXITER} steps")
 
 
 def phi(dist: ClaimDistribution, v: float) -> float:
     """Smallest root in (0, 1] of xi = v * pgf(xi).
 
     For v = 1 the root is exactly 1 when the claim mean is at most 1;
-    otherwise it is found by bisection, which is guaranteed to converge
-    because xi - v * pgf(xi) is negative at 0 and nonnegative at v.
+    otherwise Newton's method finds it from v * p_0, a point at or below
+    it. A root whose start v * p_0 rounds to 0 lies below float range and
+    raises DomainError.
     """
     v = _real_arg(v, "v", _DISCOUNT)
+    if v == 1.0 and dist.mean <= 1.0:
+        return 1.0
+    x0 = v * dist.p0
+    if x0 == 0.0:
+        raise DomainError(f"the Lundberg root at v = {v} lies below float range")
+    return _newton(dist, v, x0)
 
-    def g(xi: float) -> float:
-        return xi - v * dist.pgf(xi)
 
-    if v == 1.0:
-        if dist.mean <= 1.0:
-            return 1.0
-        hi = 0.5
-        while g(hi) <= 0.0:
-            hi = 0.5 * (1.0 + hi)
-            if 1.0 - hi < 1e-14:
-                # mean barely above 1; the root is indistinguishable from 1
-                return 1.0
-        lo = hi
-        while g(lo) > 0.0:
-            lo *= 0.5
-        return float(_bisect(g, lo, hi))
+def _newton(dist: ClaimDistribution, v: float, x: float) -> float:
+    """Newton's method on g(xi) = xi - v * pgf(xi) from an x at or below phi_v.
 
-    upper = g(v)
-    if upper <= 0.0:
-        # only possible when pgf(v) = 1, i.e. all mass at zero
-        return v
-    lo = v
-    while g(lo) > 0.0:
-        lo *= 0.5
-    return float(_bisect(g, lo, v))
+    g is concave, so each tangent meets zero at or below the root: the
+    iterates rise to it, and the loop ends once the residual -g(x) or the
+    step is no longer positive, or once a step would pass v, which lies
+    above the root. At v = 1 the residual is taken as (1 - x)(1 - pgf[1, x]),
+    with the divided difference pgf[1, x] summed from nonnegative terms,
+    since v * pgf(x) - x cannot tell phi_v apart from the second root at 1.
+    """
+    while True:
+        if v == 1.0:
+            r = (1.0 - x) * (1.0 - dist._pgf_slope(x, 1.0))
+        else:
+            r = v * dist.pgf(x) - x
+        slope = 1.0 - v * dist.pgf_prime(x)
+        if not (r > 0.0 and slope > 0.0):
+            return x
+        step = r / slope
+        if not x < x + step <= v:  # a step past v is rounding noise
+            return x
+        x += step
 
 
 @dataclass(frozen=True)
@@ -145,7 +126,7 @@ def lagrange_series(dist: ClaimDistribution, v: float, n_max: int) -> float:
     """Partial sum of the Lagrange inversion series for phi_v.
 
     phi_v = sum over n >= 1 of v^n / n * P[C_1 + ... + C_n = n - 1].
-    Useful as an independent cross-check of the bisection root.
+    Useful as an independent cross-check of the Newton root.
     """
     n_max, v = _int_arg(n_max, 0, "n_max"), _real_arg(v, "v", _DISCOUNT)
     total = 0.0

@@ -58,6 +58,8 @@ from .model import _DISCOUNT, ClaimDistribution, _int_arg, _penalty, _real_arg
 _BIAS_TARGET = 1e-10
 # distinct claim cdf values up to which draw_positive compares and adds
 _COMPARE_STEPS = 24
+# the usual floor on a chi-square cell's expected count
+_MIN_EXPECTED = 5.0
 
 _POLICIES = ("free", "reflect_upper", "reflect_lower_0", "doubly_reflected")
 _REFLECT_AT_0 = ("reflect_lower_0", "doubly_reflected")
@@ -503,14 +505,12 @@ def dividend_count_samples(
     return _dividend_counts(dist, b, v, x0, n_paths, seed, stream)[0]
 
 
-def geometric_law_chisquare(
-    counts: np.ndarray, theta: float, min_expected: float = 5.0
-) -> tuple[float, float]:
+def geometric_law_chisquare(counts: np.ndarray, theta: float) -> tuple[float, float]:
     """Chi-square goodness of fit of integer samples against the
     geometric law P(R = r) = theta * (1 - theta)^r on {0, 1, ...}.
 
     Bins beyond the point where the expected count drops under
-    min_expected are lumped into one tail cell. Returns (statistic,
+    _MIN_EXPECTED are lumped into one tail cell. Returns (statistic,
     p_value).
     """
     counts = np.asarray(counts)
@@ -520,10 +520,8 @@ def geometric_law_chisquare(
     if counts.ndim != 1 or counts.dtype.kind not in "iu" or counts.min() < 0:
         raise DomainError("counts must be a flat array of nonnegative integers")
     theta = _real_arg(theta, "theta", "geometric parameter {} outside (0, 1)", ends="()")
-    min_expected = _real_arg(min_expected, "min_expected",  # else the tail loop never ends
-                             "min_expected = {} must be positive", math.inf, "()")
     probs = []
-    while n * (p := theta * (1.0 - theta) ** len(probs)) >= min_expected:
+    while n * (p := theta * (1.0 - theta) ** len(probs)) >= _MIN_EXPECTED:
         probs.append(p)
     if not probs:
         raise DomainError("sample too small for a chi-square test")

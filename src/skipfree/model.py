@@ -121,8 +121,8 @@ class ClaimDistribution:
 
     The methods check their arguments by the public functions' rules: a claim
     size k or a length n is an integer, a generating function argument a real
-    in (0, 1]. pgf, some 55 calls in each Lundberg root, sends only a z that is
-    not a Python float in range to the rule.
+    in (0, 1]. pgf, called at each step of a Lundberg root, sends only a z that
+    is not a Python float in range to the rule.
     """
 
     kind: str

@@ -284,6 +284,17 @@ def test_optimize_sizes_its_table_from_bmax_alone(gsy_file, capsys, four_point):
     assert (result.b_star, result.value) == (0, 5001.666666666667)
 
 
+@pytest.mark.parametrize("objective", [["definetti"], ["modified", "--k", "1.2"],
+                                       ["doubly", "--k", "1.2"]])
+def test_optimize_builds_no_level_past_bmax_plus_one(gsy_file, capsys, objective):
+    # at v = 0.8 W leaves float range at level 1752, one past the scan's reach
+    rc = main(["optimize", "--model", gsy_file, "--v", "0.8", "--bmax", "1750",
+               "--objective", *objective])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert len(json.loads(captured.out, parse_constant=_refuse_constant)["trace"]) == 1751
+
+
 def test_rescaled_scan_past_float_range_names_first_level(gsy_file, capsys):
     rc = main(["optimize", "--model", gsy_file, "--v", "0.8", "--bmax", "2000", "--rescaled"])
     captured = capsys.readouterr()

@@ -49,7 +49,7 @@ GOOD = {
     "policy": PolicySpec("free"), "functional": FunctionalSpec("discounted_ruin", v=0.9),
     "objective": "definetti", "rescaled": False,
     "v": 0.9, "w": 0.5, "z": 0.5, "t": 0.5, "f": 0.6, "k": 1.2, "q": 0.4, "beta": 0.7, "theta": 0.4,
-    "min_expected": 5.0, "counts": np.array([0, 1, 0, 2, 1, 0, 3, 0, 1, 0] * 12),
+    "counts": np.array([0, 1, 0, 2, 1, 0, 3, 0, 1, 0] * 12),
     "x": 2, "b": 3, "upper": 6, "i": 1, "j": 2, "n": 3, "m": 3, "x_max": 8, "b_max": 8,
     "n_max": 5, "x0": 2, "n_paths": 20, "seed": 1, "stream": 0, "horizon_cap": 30,
 }
@@ -128,7 +128,7 @@ def no_work(monkeypatch):
 
     for module, name in ((scale, "_recur"), (scale, "_w_array_alt"), (passage, "_stopped_dp"),
                          (passage, "_ruin_rows"), (mc, "_run"), (mc, "default_registry"),
-                         (lundberg, "_convolution_powers"), (lundberg, "_bisect"),
+                         (lundberg, "_convolution_powers"), (lundberg, "_newton"),
                          (embedding, "_chain_table")):
         monkeypatch.setattr(module, name, work)
 

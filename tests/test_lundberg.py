@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import statistics
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipfree import (
-    NoConvergence,
+    DomainError,
     WrongKind,
+    modified_geometric,
     lagrange_series,
     phi,
     root_pair,
     upcrossing_pmf,
     validate,
 )
-from skipfree.golden import THREE_POINT_V
-from skipfree.lundberg import _MAXITER, _XTOL, _bisect
+from skipfree.golden import (
+    MODGEOM_CASES,
+    THREE_POINT_V,
+    four_point_model,
+    three_point_model,
+    two_point_model,
+)
+from skipfree.model import ClaimDistribution
 
 
 def test_phi_known_values(three_point, heavy):
@@ -133,35 +142,114 @@ def test_phi_bracket_property(v):
     assert abs(root - v * d.pgf(root)) < 1e-12
 
 
-def test_bisect_matches_scipy_bit_for_bit():
-    optimize = pytest.importorskip("scipy.optimize")
-    rng = np.random.default_rng(20170820)
-    cases = []
-    for _ in range(300):
-        roots = np.sort(rng.uniform(-3.0, 3.0, 3))
-        lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
-        f = lambda x, r=roots: float((x - r[0]) * (x - r[1]) * (x - r[2]))
-        if f(lo) * f(hi) <= 0.0:
-            cases.append((f, float(lo), float(hi)))
-    for _ in range(300):  # the Lundberg function g on its brackets in phi
-        w = rng.integers(0, 50, int(rng.integers(2, 9)))
-        w[0] += 1
-        d = validate([Fraction(int(k), int(w.sum())) for k in w])
-        v = float(rng.uniform(0.01, 1.0))
-        g = lambda x, d=d, v=v: x - v * d.pgf(x)
-        lo = v
-        while g(lo) > 0.0:
-            lo *= 0.5
-        if g(v) > 0.0:
-            cases.append((g, lo, v))
-    cases.append((lambda x: x - 0.25, 0.25, 1.0))  # a root at an endpoint
-    assert len(cases) > 400
-    for f, lo, hi in cases:
-        want = optimize.bisect(f, lo, hi, xtol=_XTOL, maxiter=_MAXITER)
-        assert _bisect(f, lo, hi) == want
+def _decimal_root(dist, v):
+    """The smallest root of xi = v * pgf(xi) on the law's float inputs, by
+    Newton's method from v * p_0 at 80 digits. At v = 1, p_0 is read as
+    1 - sum_{k >= 1} p_k, so that 1 is a root as it is for the exact law."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        pmf = [Decimal(p) for p in dist.pmf]
+        alpha, tail = Decimal(dist.alpha), Decimal(dist.tail_mass)
+        if v == 1.0:
+            pmf[0] = 1 - sum(pmf[1:]) - tail
+        vd = Decimal(v)
+
+        def g(x):  # xi - v * pgf(xi) and its derivative
+            p = dp = Decimal(0)
+            for c in reversed(pmf):
+                dp = p + x * dp
+                p = c + x * p
+            den = 1 - alpha * x
+            p += tail * (1 - alpha) * x * x / den
+            dp += tail * (1 - alpha) * x * (2 - alpha * x) / (den * den)
+            return x - vd * p, 1 - vd * dp
+
+        x = vd * pmf[0]
+        while True:
+            gx, slope = g(x)
+            step = -gx / slope
+            x += step
+            if abs(step) <= x * Decimal("1e-70"):
+                return x
 
 
-def test_bisect_that_cannot_converge_raises_library_error():
-    # 200 halvings of [0, 1e300] leave a step far above the tolerance at 1e250
-    with pytest.raises(NoConvergence):
-        _bisect(lambda x: x - 1e250, 0.0, 1e300)
+def _rel_err(dist, v):
+    want = _decimal_root(dist, v)
+    return float(abs(Decimal(phi(dist, v)) - want) / want)
+
+
+def _grid():
+    """(law, v): golden, near-critical and seeded random laws at discounts from
+    1e-20 to 1, with v = 1 only where the mean is above 1."""
+    laws = [three_point_model(), two_point_model(), four_point_model(),
+            validate(["1/2", "0", "0", "1/2"]), modified_geometric(0.6, 0.24, 0.4),
+            validate(["1/2", "0", "1/2"]), validate(["1"])]
+    laws += [validate([Fraction(1, 2) - Fraction(eps), 0, Fraction(1, 2) + Fraction(eps)])
+             for eps in ("1e-3", "1e-6", "1e-9", "1e-12", "1e-15")]
+    rng = np.random.default_rng(20170818)
+    for _ in range(25):
+        weights = rng.integers(0, 100, int(rng.integers(2, 41)))
+        weights[0] += 1
+        laws.append(validate([Fraction(int(k), int(weights.sum())) for k in weights]))
+    vs = (1e-20, 1e-8, 0.05, 0.3, 0.8, 0.9, 0.99, 0.999, 0.999999)
+    return [(d, v) for d in laws for v in vs + ((1.0,) if d.mean > 1.0 else ())]
+
+
+def test_phi_matches_decimal_root(monkeypatch):
+    steps = []
+    slope = ClaimDistribution.pgf_prime
+
+    def counted(self, z):  # one derivative per Newton step
+        steps[-1] += 1
+        return slope(self, z)
+
+    monkeypatch.setattr(ClaimDistribution, "pgf_prime", counted)
+    errors = []
+    for d, v in _grid():
+        steps.append(0)
+        errors.append(_rel_err(d, v))
+    assert len(errors) > 300
+    assert max(errors) <= 1e-13
+    assert statistics.median(errors) <= 1e-16
+    assert max(steps) <= 64
+    assert _rel_err(three_point_model(), 1e-20) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha, p0, p1, v0", MODGEOM_CASES)
+def test_phi_matches_modgeom_quadratic(alpha, p0, p1, v0):
+    d = modified_geometric(p0, p1, alpha)
+    for v in (v0, 1e-8, 0.5, 0.9, 0.999):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            a, q0, q1, vd = (Decimal(x) for x in (d.alpha, d.p0, d.p1, v))
+            # the quadratic of root_pair: k xi^2 + b xi + p0 = 0, phi its smaller root
+            k = (1 - a) * (1 - q0) - q1 + a / vd
+            b = q1 - a * q0 - 1 / vd
+            want = (-b - (b * b - 4 * k * q0).sqrt()) / (2 * k)
+            assert abs(Decimal(phi(d, v)) - want) / want <= Decimal("4e-16")
+
+
+def test_phi_next_to_one_stays_at_or_below_v():
+    # rounding in v * pgf(xi) - xi near 1 keeps the residual positive past the
+    # root, and on this law the steps went on past 1
+    d, v = validate(["7/26", "16/26", "3/26"]), 1.0 - 2.0**-53
+    assert phi(d, v) <= v
+    assert _rel_err(d, v) <= 1e-15
+
+
+def test_phi_one_ulp_above_critical_is_p0_over_p2():
+    eps = Fraction(2.0**-53)
+    d = validate([Fraction(1, 2) - eps, 0, Fraction(1, 2) + eps])
+    assert d.mean > 1.0
+    assert phi(d, 1.0) == d.pmf[0] / d.pmf[2] < 1.0
+
+
+@pytest.mark.parametrize("pmf, v", [(["1e-300", "1"], 1e-310), (["1/2", "0", "0", "1/2"], 5e-324)])
+def test_phi_below_float_range_is_refused(pmf, v):
+    with pytest.raises(DomainError, match=f"the Lundberg root at v = {v} lies below float range"):
+        phi(validate(pmf), v)
+
+
+def test_phi_subnormal_root():
+    # xi = v (1/10 + 9/10 xi) has the root v / (10 - 9 v), which is v / 10 to float precision
+    assert phi(validate(["1/10", "9/10"]), 1e-310) == 1e-311

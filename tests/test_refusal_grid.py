@@ -66,15 +66,15 @@ CALLS = {
 }
 
 PINS = {
-    "discounted_ruin_gf": "24f07f03df68587180f684f2530d0c20f4a0e4a312e775437109b80460b63d5e",
-    "dw": "bd3d31f0691a66742e52e8150b551a881682b4f1e18f4d2cddc67214c3113a9d",
+    "discounted_ruin_gf": "b61137973750343c0ac68350986232994a27bb955d09ea337f47ccac2bb09fa5",
+    "dw": "b90d39248e0959f487763bc9d0fd03d79b4a0c000a1385ba73d1c5f582b84d21",
     "dz": "c6e0ef58f01def4b5d19cb04b9568dfe545edd8e49c6a28d24ee41a7a39d733a",
     "dz1": "1fd4fa93052efa99568e3627e2b555e5864604b72e4496a5ca3f7d91561b74ee",
     "dzw": "9dd0b9740baef88477f22c194528b94773a4cfde89571bfd5a66ded3a09cb875",
     "expected_stopped_z": "1fb7d43312065a1c03f598cb224405f7f99f101c8e09809e12f1088581c51105",
-    "w": "bb896449874da5d097a3b55d1ab037b3e4dcbac86b469a69e6d89294a855f66d",
-    "w_over_dw": "7b0e52da85ef5439ca630ad368b8ca23bf6d222513fc84c6e3b69cb799971ca3",
-    "w_ratio": "1fae77b79f2bd4c0232b647db5d6d627e2b8726ca5c4c10864a036168854cf1d",
+    "w": "e580a561143947674efcd4aa669904e51e6a01a2488146056c9ed2562241fac8",
+    "w_over_dw": "ec67135409d4091c67478984065628c5bf2e6eca19db8b02af86fa338712b3c4",
+    "w_ratio": "2765825c880bc0cb922d6d9db0828d18bc208224206929c01019d81eb82f1b55",
     "z": "c01b927fb168375faa1591a08344abdec2d23e6d05ce1a00bd1b562bef62f913",
     "z1": "8d3ccd56dd1766ad1c39b2ada2186fc7d236567a332dfb4536cc3898653246ed",
     "z_at": "4d652b06632010df9894b66e5ba9232c9d3ab46ba5737c1783552998ac037e8e",
@@ -111,13 +111,13 @@ NUMPY_LEVELS = (np.True_, np.False_, np.int32(3), np.uint64(3), np.int8(-1), np.
                 10, 11)
 
 NUMPY_PINS = {
-    "dw": "bef34fe2cdbdc96a0b4016139975ffc5c2f725f0509463f61e4e7c1113799f53",
+    "dw": "41b0797482c6883ad631d257982382f47d76f67ae9212aeef1d4d8a5901559ca",
     "dz": "d08c53fb34efcd7d0391183c526e93150fab06c61cdbd29961d6fafa7d5d4c8e",
     "dz1": "730413ae5be713a3158650e0600e220f6fb3496bbcd73623d0bde5591223060e",
     "dzw": "bd86ea6cfbd97cb008ccb4218f139efac0d6bc8fccd6e42d4b39a32b92a945a2",
-    "w": "b6006faabb5b9e85bd085541e1a7fcfb211c8d45e9e5d4808d2ea43f5ecf92e6",
-    "w_over_dw": "dd561e3b9707bd50584081948522dfeb3d9729157373d1a7ec3f128b52fa7b1f",
-    "w_ratio": "82030656f67e77db96609fcc384a63f7e7f723bb70799f90c56eb6033014a9ef",
+    "w": "1e7fe90414bfca50df3079120d7e52954183ef9e8df5ec019e7a74227b4008f9",
+    "w_over_dw": "a061bc2e7728e9f2381421db0609e2d6073862c81e125f8bbf4a8b854f2c90df",
+    "w_ratio": "344634e7a52751c1dfabf71abc513b5c121dee21e5a770aaf92b010c8fb7ca57",
     "z": "c428990dab4a85a3ad542280887bc818808d5aea96b0827d3b679dc55f093e0c",
     "z1": "fa022c9a4ac0bc5c5db1391b144349d8d32d2fede29c4dc8806be1641509fe7b",
     "z_at": "5a2c08ffe15494a4b641c4de883e7ae211997e7cc6955f3395efc71e5b2db5c8",
@@ -145,7 +145,7 @@ UNSIGNED_CALLS = {
 UNSIGNED_PINS = {
     "doubly_bailouts": "2fba8a2668745af9ecfd19705db37a88762cbd05a3c75fc47f6ff0892ea80d5b",
     "doubly_dividends": "940d6ace38b6e071321139c9e0cc4777f22993fa0169ff2df0aa6ce14416cc20",
-    "killed_resolvent": "73ac49b572d22577919e6253fbeffeabca82c28bf6353dab43d82544f6d82a45",
+    "killed_resolvent": "29be0dcd0e68405479994927dcc7e34696e4074a240d4225ab150452a471ef23",
 }
 
 

@@ -95,19 +95,19 @@ CALLS = {
 PINS = {
     "bailout_value_reflected": "900124797bc9aa585536bcb750f997223594840e4dd32d432afcdcf9c1b3f87b",
     "deficit_gf": "36e6c6249bedd28939fc3d78c2f603745a42261d37c6a6eddd41050818c7d9fc",
-    "definetti_value": "e6a7eb65604904dfa97a38854491eaabe2761ec11c870ab75a6801c80f6d310f",
-    "discounted_ruin_gf": "3f493889b4d0546d7637c832afa18d77268b866826a8b5e4260addfd601ae3ee",
-    "dividends_law": "40817eb2016c328a547b6af1a2db21fb3cb673cbb32ce3292f1b6a9df2e4e3be",
+    "definetti_value": "be700e3e28634150cdcc3bdb2b29e1bd62dcb7d0ab4ee322e57f2da83562fcb1",
+    "discounted_ruin_gf": "30bc3d7a8b18aef2ea14c0254c31be47a6270b1d98d76139bf48a2f70954b53d",
+    "dividends_law": "9dbce1f6576cb99e44bb641da20317ed1b7c71b2d4888621367b01f47d81607c",
     "doubly_reflected": "e7700147015e51b8cfa48d4313da5ec816e947b7f26a2356a3321061a8e0232a",
     "expected_deficit": "5710aefa845f3db1cf8dfe6b00340a5235d3804703703635f038a2085f0594ec",
     "injections_mgf": "90fd5185bc5a84105a7e975de31dd4aef7a546a8e0011b06380cf4974974875d",
     "joint_dividends_deficit": "8c187aff2631c84c8827d19d4cb84b5730ef02b6a41747b9817d47f9808fce9f",
-    "killed_resolvent": "70aae4cd651657e8fdbd3b17b10ab75d40076f8e4601adf1d4019d81e57af87c",
+    "killed_resolvent": "2a71fea48e623ab1d732f26476d847208a8258dcb501e4c1583bff772f8ddd42",
     "modified_definetti": "95940ec41a610ac85a5a63ca9bb99acc52d4349dc089345567009af6eaea03d6",
     "reflected_ruin_gf": "6900f870e1800ceca4b053d3972e15ec891f6e1123f76aa6c8d0ea0760505045",
-    "ruin": "1e69400a721c55d8c448187738740a1f0aea9b3c5f92151e451eab9c6db90da7",
-    "two_sided_up": "6d2b31b21b80be1a01856beedb18752c262fef04e7920f55af3622ce4af24cd0",
-    "w_at_downcrossing": "58cb8cb7b157f5573467ef385d1716fb973945941f6e20edbb975d9d9781efe3",
+    "ruin": "8b9a48b360be9f29cb4001347bf4331a2a335ecb8232b232dc85a447de3a0165",
+    "two_sided_up": "d1cc88894f271abe31d830a5e5c587261e2d9da0267d56e5960e9ca9fcfb920c",
+    "w_at_downcrossing": "5a193ea7047f62d85541cbc1a43f9ed34900b0dc0048f4f8567da8a065489da2",
 }
 
 

@@ -57,12 +57,12 @@ PINS = {
     "Z1": "c2d9d2f2aa7feec7a0c6f85eda924464f327b30f8c07767ba6fd708460119ca8",
     "dW": "b9d789fd908af4e7a8aa6b72b2455e03f8487a45d426efc43c57fbed9c6155b3",
     "definetti": "cc239b788def074334573d68d29ebbfb8885933f5021f0e42a894cade4903ded",
-    "definetti rescaled": "8a74911088973d9449158a5111aa3607557d1545c99dc4036217b6e186997465",
+    "definetti rescaled": "a22cf7341eeea01e0d4b8f354520f1c37b490b215133629dd769454ed60b3b59",
     "doubly_reflected": "4a7f1734f40a4a0c515b1f62eb7ad413dcb9bf6006a6d4bc58f39ef7315b437d",
     "modified_definetti": "2c187db08fb11623bc011cb6d51f4c7a1dda78c31b8461944d07d2df3e8dc9a8",
-    "rescaled": "69cab66c29b1763f4fcac1abfe54680b63bb4b3149fe75ea2b318e3f1c83b55f",
-    "rescaled accessors": "e69bc4bfffb46b5adcfb453c7b4db5107b70767bbec7afca7434913401036670",
-    "tilted": "4c44e0d10a398d070662499dd96eb57e9e44df64a34df3108c94e95daf793361",
+    "rescaled": "5e41f5a7bd69ae2f8190595c3c2d8ddabd9b09c1eebcb19fa5e0a00b84c7fb0e",
+    "rescaled accessors": "dd949e63c19158548c960667ad7dd1bca1f6ac0f5ddd9cc608f3bd050b013956",
+    "tilted": "c75599e33cfc70d224a02a9f49af366058cae2f520b93f226d11ef45b41b136c",
 }
 
 
