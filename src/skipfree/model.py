@@ -181,6 +181,11 @@ class ClaimDistribution:
         return rest if rest > _SUM_TOL else 0.0
 
     @cached_property
+    def _slopes(self) -> tuple[float, ...]:
+        """The atoms' coefficients of pgf_prime: k p_k for k = 1..len(pmf) - 1."""
+        return tuple(k * p for k, p in enumerate(self.pmf))[1:]
+
+    @cached_property
     def mean(self) -> float:
         exact = sum(k * Fraction(p) for k, p in enumerate(self.pmf))
         return float(exact) + self.tail_mass * (2.0 - self.alpha) / (1.0 - self.alpha)
@@ -218,9 +223,10 @@ class ClaimDistribution:
 
     def pgf_prime(self, z: float) -> float:
         """Derivative of the generating function at a real z in (0, 1]."""
-        z = _real_arg(z, "z", _PGF_ARG)
+        if z.__class__ is not float or not 0.0 < z <= 1.0:  # only a failing z reaches the rule
+            z = _real_arg(z, "z", _PGF_ARG)
         a, den = self.alpha, 1.0 - self.alpha * z
-        head = _horner([k * p for k, p in enumerate(self.pmf)][1:], z)
+        head = _horner(self._slopes, z)
         return head + self.tail_mass * (1.0 - a) * z * (2.0 - a * z) / (den * den)
 
     def _pgf_slope(self, w: float, f: float) -> float:

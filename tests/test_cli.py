@@ -1,14 +1,15 @@
 """Command line interface, exercised in process through main(argv)."""
 
+import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
+import child
 import pytest
-
-import skipfree
 
 from skipfree import cli
 from skipfree.cli import main
@@ -22,6 +23,14 @@ from skipfree.golden import GOLDEN_CHECKS
 def model_file(tmp_path):
     path = tmp_path / "three_point.json"
     path.write_text(json.dumps({"type": "table", "pmf": ["2/3", "2/9", "0", "1/9"]}))
+    return str(path)
+
+
+@pytest.fixture()
+def geo_file(tmp_path):
+    path = tmp_path / "modified_geometric.json"
+    path.write_text(json.dumps({"type": "modified_geometric", "p0": 0.6, "p1": 0.24,
+                                "alpha": 0.4}))
     return str(path)
 
 
@@ -247,11 +256,8 @@ def test_mc_verify_prints_strict_json_for_an_infinite_z(capsys):
 
 def test_overflowing_embed_under_warnings_as_errors(model_file):
     # Z's running sums used to overflow past the kept entries and warn
-    src = os.path.dirname(os.path.dirname(skipfree.__file__))
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "skipfree.cli", "embed", "--model", model_file,
-         "--gamma", "2", "--step", "0.5", "--q", "0", "1", "--xmax", "2000"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    out = child.run("-W", "error", "-m", "skipfree.cli", "embed", "--model", model_file,
+                    "--gamma", "2", "--step", "0.5", "--q", "0", "1", "--xmax", "2000")
     assert out.returncode == 2
     assert out.stderr == "error: W exceeds float range on 0..1135\n"
 
@@ -277,7 +283,7 @@ def test_optimize_sizes_its_table_from_bmax_alone(gsy_file, capsys, four_point):
     rc = main(["optimize", "--model", gsy_file, "--v", "0.8", "--bmax", "50", "--x", "5000"])
     captured = capsys.readouterr()
     assert rc == 0 and captured.err == ""
-    payload = json.loads(captured.out)
+    payload = json.loads(captured.out, parse_constant=_refuse_constant)
     result = optimize_barrier(w_table(DiscountedModel(four_point, 0.8), 52),
                               "definetti", 0.0, 5000, 50)
     assert (payload["b_star"], payload["value"]) == (result.b_star, result.value)
@@ -304,16 +310,12 @@ def test_rescaled_scan_past_float_range_names_first_level(gsy_file, capsys):
 
 
 @pytest.mark.parametrize("lines_read", [0, 1])
-def test_a_reader_closing_stdout_early_is_not_an_error(tmp_path, lines_read):
+def test_a_reader_closing_stdout_early_is_not_an_error(geo_file, lines_read):
     # `skipfree ruin ... | head -1`: the write or the flush meets a closed pipe
-    geo = tmp_path / "geo.json"
-    geo.write_text(json.dumps({"type": "modified_geometric", "p0": 0.6, "p1": 0.24,
-                               "alpha": 0.4}))
-    src = os.path.dirname(os.path.dirname(skipfree.__file__))
     proc = subprocess.Popen(
         [sys.executable, "-W", "error", "-m", "skipfree.cli", "ruin", "--v", "0.9",
-         "--xmax", "2000", "--model", str(geo)],
-        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+         "--xmax", "2000", "--model", geo_file],
+        env=child.ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     for _ in range(lines_read):
         assert proc.stdout.readline() == b"x,ruin\n"
     proc.stdout.close()
@@ -321,3 +323,57 @@ def test_a_reader_closing_stdout_early_is_not_an_error(tmp_path, lines_read):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+# calls no other test makes: (model fixture, argv, sha256 of stdout)
+PINNED_CALLS = [
+    # the finite-horizon DP keeps one row at a time: its whole table, 2 x 401 x 401
+    # floats, would exceed the peak bound below
+    ("geo_file", "ruin --n 400 --xmax 400",
+     "52f98f948814d2445f83a2a3ea664a0889d5e4a04dfe5a1886142b2108193f3b"),
+    # both ruin branches read constants the table sets when it is built, from a law
+    # whose tail starts past its atoms
+    ("geo_file", "scale --v 0.9 --xmax 300",
+     "0ee6ce612adffde3329ec12cd8df574bc13803a03b105278006b26cc5c361bb0"),
+    ("geo_file", "ruin --n 12 --xmax 20",
+     "ccf2de136e97c6949ae4bdf3d4a7cccb1b1b8d31b20c89981fdda9e749c20729"),
+    ("geo_file", "ruin --v 0.9 --xmax 20",
+     "c6cdd2688a5283ba5f6e2c8b12a591c43f4405028df65aefaa1d47e316bb98a2"),
+    ("geo_file", "passage --v 0.9 --x 2 --b 6 --w 0.7",
+     "24707888d212627f7c80298a67358ecaf40f14d733d1939b7ef7837d6f03d837"),
+    ("geo_file", "passage --v 1 --x 2 --b 6 --w 0.7",
+     "c5072d33a96e92077471f568e97852fa79b276417000c2de19119514d87fe769"),
+    ("geo_file", "optimize --v 0.95 --objective modified --k 1.2 --bmax 200",
+     "3c9242077636c45918c8d2e0e1ec440f3b8bd5d7dea8fb0467d20af24696763d"),
+    # the four-point law's long scans: doubly reflected next to v = 1, and on a rescaled table
+    ("gsy_file", "optimize --v 0.999 --objective doubly --k 1.2 --bmax 1500",
+     "9588088236ff78ff12aca56ad0d54e19734cec4671884c1870dec7b93b2b971c"),
+    ("gsy_file", "optimize --v 0.8 --objective definetti --rescaled --bmax 1500",
+     "b66f972d9607d522ee013d6338b6f6419053d961b9ba32d50bf607bfb0bc628e"),
+    # the q = 0 row builds v = 1 tables, each with its Z and Z1 columns
+    ("gsy_file", "embed --gamma 2 --step 0.5 --q 0 1 --xmax 50",
+     "547597e5de31df694e98332dd3de2f18ce21b7732690ccf881b7d581bf715865"),
+]
+
+
+@pytest.mark.parametrize("model, argv, digest", PINNED_CALLS,
+                         ids=[argv for _, argv, _ in PINNED_CALLS])
+def test_call_prints_its_pinned_output_under_warnings_as_errors(request, capsys, model, argv,
+                                                                digest):
+    # as under `python -W error`: exit 0, nothing on stderr, strict JSON from optimize,
+    # and each call allocates under 2 MB at its peak
+    path = request.getfixturevalue(model)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv.split(), "--model", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    if argv.startswith("optimize"):
+        json.loads(captured.out, parse_constant=_refuse_constant)
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert peak < 2e6

@@ -4,15 +4,11 @@ Full-size verification lives in the acceptance module; everything here
 runs with small path counts to keep the suite quick.
 """
 
-import os
-import subprocess
-import sys
-
+import child
 import numpy as np
 import pytest
 from mc_reference import StepSampler
 
-import skipfree
 from skipfree import (
     DomainError,
     FunctionalSpec,
@@ -231,31 +227,25 @@ def test_chisquare_rejects_counts_that_are_not_nonnegative_integers(counts):
         geometric_law_chisquare(counts, 0.5)
 
 
-def _python(code):
-    src = os.path.dirname(os.path.dirname(skipfree.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-
-
 def test_import_loads_no_scipy():
     code = ("import sys, skipfree, skipfree.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = _python(code)
+    out = child.run("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [
     ["examples"], ["mc-verify", "--npaths", "3000", "--chi-npaths", "3000"],
+    ["mc-verify", "--npaths", "20000", "--chi-npaths", "20000"],
 ])
 def test_cli_runs_with_scipy_blocked(argv):
     code = ("import sys\n"
             "sys.modules['scipy'] = None  # any scipy import now fails\n"
             "from skipfree.cli import main\n"
             f"sys.exit(main({argv!r}))")
-    out = _python(code)
-    assert out.returncode == 0, out.stderr
+    out = child.run("-W", "error", "-c", code)
+    assert out.returncode == 0, out.stdout + out.stderr  # a failing mc-verify reports on stdout
 
 
 def _chisquare_inputs(counts, theta):

@@ -6,9 +6,8 @@ loaded every submodule.
 """
 
 import json
-import os
-import subprocess
-import sys
+
+import child
 
 import skipfree
 
@@ -45,10 +44,7 @@ _LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('skipfr
 
 def _python(code, *flags):
     """stdout of code in a fresh interpreter, parsed as JSON; fails on a non-zero exit."""
-    src = os.path.dirname(os.path.dirname(skipfree.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
+    out = child.run(*flags, "-c", code)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
 
