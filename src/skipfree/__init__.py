@@ -37,7 +37,7 @@ _EXPORTS = {
         "SkipfreeError", "WrongKind",
     ),
     "golden": ("run_golden_checks",),
-    "lundberg": ("RootPair", "lagrange_series", "phi", "root_pair", "upcrossing_pmf"),
+    "lundberg": ("phi", "upcrossing_pmf"),
     "mc": (
         "FunctionalSpec", "MCEstimate", "PolicySpec", "default_horizon_cap",
         "default_registry", "dividend_count_samples", "geometric_law_chisquare",
@@ -52,10 +52,7 @@ _EXPORTS = {
         "ruin_limit_ratio", "survival_double_transform", "two_sided_up", "upcrossing_price",
         "w_at_downcrossing",
     ),
-    "scale": (
-        "ScaleTable", "asymptotic_constant", "dickson_hipp_z", "gf_residual",
-        "w_determinant_oracle", "w_table", "z_gf_residual",
-    ),
+    "scale": ("ScaleTable", "asymptotic_constant", "w_table"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -4,13 +4,14 @@ Each subcommand accepts only the flags it reads:
 
   scale      CSV table of W, dW, Z, Z1: --model --v --xmax
   ruin       eventual, discounted or finite-horizon ruin probabilities:
-             --model --v --xmax --n --out --rescaled
+             --model --v --xmax --n --out; at v = 1 on a law of mean >= 1
+             ruin is certain and reads no level, so its table holds level 0
   passage    passage functionals at one level: --model --v --x --b --w --out;
              every value reads levels 0..max(x, b) only, so its table is sized
              from --x and --b
   optimize   barrier optimization with its full influence trace:
-             --model --v --bmax --objective --k --x --rescaled; the scan
-             reads levels 0..bmax+1 only, so its table holds just those
+             --model --v --bmax --objective --k --x; the scan reads
+             levels 0..bmax+1 only, so its table holds just those
   mc-verify  analytic vs Monte Carlo registry: --seed --npaths --chi-npaths
   examples   golden reference checks, one line each: no flags
   embed      Levy chain tables: --model --xmax --gamma --step --q
@@ -23,10 +24,6 @@ fails (a NaN z or p fails too), 2 on configuration errors, unknown
 flags included (message on standard error, no partial output). A reader
 that closes standard output early (| head) refuses nothing: the output
 stops there, and the exit code is 0 with nothing on standard error.
-
-ruin --rescaled helps only at v = 1, where ruin reads W alone. At v < 1
-discounted ruin reads Z, which a rescaled table lacks, so it exits 2 with
-"Z is unavailable on a rescaled table".
 
 mc-verify and optimize print strict JSON: a number that is not finite
 (an infinite or NaN z, or the inf and nan influences of a scan past where
@@ -83,8 +80,6 @@ _FLAGS = {
     "bmax": dict(type=int, default=50, help="largest barrier scanned (default 50)"),
     "seed": dict(type=int, default=42, help="base seed for Monte Carlo (default 42)"),
     "out": dict(choices=("csv", "json"), default="csv", help="output format (default csv)"),
-    "rescaled": dict(action="store_true",
-                     help="build the table in tilted form for deep levels"),
     "n": dict(type=int, default=None, help="finite horizon; omit for the v=1 / v<1 split"),
     "x": dict(type=int, default=0, help="starting level"),
     "b": dict(type=int, default=50, help="upper target level (default 50)"),
@@ -112,11 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("scale", cmd_scale, "emit the scale function table as CSV",
          "model v xmax"),
         ("ruin", cmd_ruin, "ruin probabilities (eventual, discounted, or --n steps)",
-         "model v xmax n out rescaled"),
+         "model v xmax n out"),
         ("passage", cmd_passage, "passage functionals at one starting level",
          "model v x b w out"),
         ("optimize", cmd_optimize, "optimize a dividend barrier and emit the trace",
-         "model v bmax objective k x rescaled"),
+         "model v bmax objective k x"),
         ("mc-verify", cmd_mc_verify, "run the analytic vs Monte Carlo registry",
          "seed npaths chi-npaths"),
         ("examples", cmd_examples, "run the bundled golden checks, one line each", ""),
@@ -138,15 +133,13 @@ def _load_model(args: argparse.Namespace) -> ClaimDistribution:
         return from_jsonable(json.load(fh))
 
 
-def _table_for(args: argparse.Namespace, x_max: int, rescaled: bool = False):
-    dist = _load_model(args)
-    model = DiscountedModel(dist, args.v)
-    return w_table(model, x_max, rescaled=rescaled)
+def _table_for(args: argparse.Namespace, x_max: int):
+    return w_table(DiscountedModel(_load_model(args), args.v), x_max)
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
     table = _table_for(args, args.xmax + 1)
-    cols = (table.w_array(), table._dw(0, args.xmax), table.zw_array(1.0), table._z1_values())
+    cols = (table.w_array(), table._dw(0, args.xmax), table.zw_array(1.0), table._z1)
     lines = ["x,W,dW,Z,Z1"]
     for x, row in enumerate(zip(*(col[: args.xmax + 1].tolist() for col in cols))):
         lines.append(",".join([str(x)] + [_fmt(c) for c in row]))
@@ -163,7 +156,9 @@ def cmd_ruin(args: argparse.Namespace) -> int:
         rows = [{"x": x, "ruin": ruin[x], "survival": surv[x]} for x in range(args.xmax + 1)]
         header = "x,ruin,survival"
     else:
-        table = _table_for(args, args.xmax, args.rescaled)
+        model = DiscountedModel(_load_model(args), args.v)
+        # row x reads level x, except where ruin is certain: v = 1 and a mean >= 1
+        table = w_table(model, args.xmax if args.v < 1.0 or model.subcritical else 0)
         fn = passage.eventual_ruin if args.v == 1.0 else passage.discounted_ruin
         rows = [{"x": x, "ruin": fn(table, x)} for x in range(args.xmax + 1)]
         header = "x,ruin"
@@ -213,7 +208,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     k = 0.0 if args.k is None else args.k
     # the scan and the value at b* read levels 0..bmax+1; a negative --bmax
     # builds levels 0..1 and optimize_barrier refuses it
-    table = _table_for(args, max(args.bmax, 0) + 1, args.rescaled)
+    table = _table_for(args, max(args.bmax, 0) + 1)
     result = dv.optimize_barrier(table, objective, k, args.x, args.bmax)
     print(json.dumps(_finite_or_null(result.to_jsonable()), indent=2, allow_nan=False))
     return 0

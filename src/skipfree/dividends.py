@@ -174,15 +174,14 @@ def _influence(objective: str, table: ScaleTable, k: float, lo: int, hi: int) ->
 
 
 def _penalized(k, dz1, d):
-    """(1 - k * dZ1(b)) / d(b), the H of both penalized objectives, on floats or arrays."""
+    """(1 - k * dZ1(b)) / d(b), the H of both penalized objectives, on a scan's arrays."""
     return (1.0 - k * dz1) / d
 
 
 # A scalar influence checks k, then its table, then b, in a branch that a Python
-# int b, a Python float k in [0, inf) and a table that pass skip, then applies
-# _penalized, its _SCAN formula, to the Python floats k and the increments _SCAN
-# names, read in that order (so zero division raises rather than warns); where a
-# difference is 0 it takes the scan's value at b, numpy's inf or nan.
+# int b, a Python float k in [0, inf) and a table that pass skip, then divides
+# 1 - k * dZ1(b) by its difference through _divide: where the difference is 0 it
+# gives the scan's value at b, numpy's inf or nan.
 
 def modified_definetti_influence(table: ScaleTable, b: int, k: float) -> float:
     """Influence (1 - k * dZ1(b)) / dW(b) of the dividends-minus-
@@ -192,10 +191,7 @@ def modified_definetti_influence(table: ScaleTable, b: int, k: float) -> float:
         k = _penalty(k)
         _check_dividends(table)
         b = _int_arg(b, None, "level")
-    try:
-        return _penalized(k, table.dz1(b), table.dw(b))
-    except ZeroDivisionError:
-        return float(_influence("modified_definetti", table, k, b, b)[0])
+    return _divide(1.0 - k * table.dz1(b), table.dw(b))
 
 
 def modified_definetti_value(table: ScaleTable, b: int, x: int, k: float) -> float:
@@ -237,10 +233,7 @@ def doubly_reflected_influence(table: ScaleTable, b: int, k: float) -> float:
         k = _penalty(k)
         _check_discounted(table)
         b = _int_arg(b, None, "level")
-    try:
-        return _penalized(k, table.dz1(b), table.dz(b))
-    except ZeroDivisionError:
-        return float(_influence("doubly_reflected", table, k, b, b)[0])
+    return _divide(1.0 - k * table.dz1(b), table.dz(b))
 
 
 def doubly_reflected_influence_affine(table: ScaleTable, b: int, k: float) -> float:

@@ -9,10 +9,16 @@ and reports one pass/fail line per item; the CLI examples command and
 the acceptance tests both feed from it. A check that compares errors
 with a tolerance passes only if the largest is at most the tolerance: a
 NaN or inf error fails.
+
+The independent oracles those checks hold the tables against live here
+too: the modified geometric root pair behind the closed forms, the
+Dickson-Hipp Z, the banded-determinant W and the generating-function
+residuals. No library module computes with them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,18 +26,19 @@ import numpy as np
 
 from . import dividends as dv
 from . import passage
-from .lundberg import root_pair
-from .model import ClaimDistribution, DiscountedModel, modified_geometric, validate
-from .scale import (
-    ScaleTable,
-    _int,
-    _w_array_alt,
-    dickson_hipp_z,
-    gf_residual,
-    w_determinant_oracle,
-    w_table,
-    z_gf_residual,
+from .errors import DomainError, NoConvergence, OutOfTable, OverflowSignal, WrongKind
+from .model import (
+    _BELOW_PHI,
+    _DISCOUNT,
+    MODIFIED_GEOMETRIC,
+    ClaimDistribution,
+    DiscountedModel,
+    _int_arg,
+    _real_arg,
+    modified_geometric,
+    validate,
 )
+from .scale import ScaleTable, _int, _w_array, _w_array_alt, asymptotic_constant, w_table
 
 THREE_POINT_V = 150.0 / 169.0
 TWO_POINT_V = 65.0 / 72.0
@@ -82,6 +89,41 @@ def cached_table(dist: ClaimDistribution, v: float, x_max: int) -> ScaleTable:
     return w_table(DiscountedModel(dist, v), x_max)
 
 
+@dataclass(frozen=True)
+class RootPair:
+    """Both roots of the quadratic Lundberg equation of a modified
+    geometric claim law, with the quadratic's leading coefficient."""
+
+    phi_v: float
+    R_v: float
+    k_v: float
+
+
+def root_pair(dist: ClaimDistribution, v: float) -> RootPair:
+    """Closed-form Lundberg roots for a modified geometric claim law.
+
+    Clearing the geometric denominator turns the Lundberg equation into
+    k_v * xi^2 + (p1 - alpha*p0 - 1/v) * xi + p0 = 0 with
+    k_v = (1 - alpha)(1 - p0) - p1 + alpha / v. The larger root R_v is
+    computed with the numerically stable branch and phi_v recovered from
+    the product of roots, phi_v * R_v = p0 / k_v.
+    """
+    if dist.kind != MODIFIED_GEOMETRIC:
+        raise WrongKind("root_pair requires a modified geometric distribution")
+    v = _real_arg(v, "v", _DISCOUNT)
+    p0, p1, a = dist.p0, dist.p1, dist.alpha
+    k_v = (1.0 - a) * (1.0 - p0) - p1 + a / v
+    b = p1 - a * p0 - 1.0 / v
+    disc = b * b - 4.0 * k_v * p0
+    if disc < 0.0:
+        if disc < -1e-12:
+            raise DomainError("Lundberg quadratic has no real roots")
+        disc = 0.0
+    big = (-b + math.sqrt(disc)) / (2.0 * k_v)
+    small = p0 / (k_v * big)
+    return RootPair(phi_v=small, R_v=big, k_v=k_v)
+
+
 def closed_form_w_modgeom(dist: ClaimDistribution, v: float, x: int) -> float:
     """W for the modified geometric family from the Lundberg root pair.
 
@@ -119,6 +161,102 @@ def closed_form_z_modgeom(dist: ClaimDistribution, v: float, x: int) -> float:
     s_f = (1.0 - a * f) * (f ** float(-x) - 1.0) / (1.0 - f)
     s_r = (1.0 - a * big) * (big ** float(-x) - 1.0) / (1.0 - big)
     return 1.0 + c * (s_f - s_r) / (k * (big - f))
+
+
+_DH_TARGET = 1e-12
+
+
+def dickson_hipp_z(model: DiscountedModel, w: float, x: int) -> float:
+    """Z(x, w) evaluated through the Dickson-Hipp operator on W.
+
+    Z(x, w) = (pgf(w) - w/v) * sum_{k >= 0} w^k W(x + k), valid for
+    0 < w < phi_v. The series is truncated once the geometric bound
+    through the asymptotic constant A certifies a remainder below 1e-12; w^(-x) at x < 0.
+    """
+    x, f = _int_arg(x, None, "level"), model.phi_v
+    w = _real_arg(w, "w", _BELOW_PHI, f, "()")
+    if x < 0:
+        return w ** -x
+    a_const = asymptotic_constant(model)
+    if math.isinf(a_const):
+        raise DomainError(
+            "Dickson-Hipp series bound unavailable in the critical case"
+        )
+    c = model.dist.pgf(w) - w / model.v
+    r = w / f
+    # remainder after K terms <= c * A * phi^(-x-1) * r^(K+1) / (1 - r)
+    lead = c * a_const * f ** float(-x - 1) / (1.0 - r)
+    if lead <= _DH_TARGET:
+        n_terms = 8
+    else:
+        n_terms = max(8, int(math.ceil(math.log(_DH_TARGET / lead) / math.log(r))) + 1)
+    if n_terms > 10**7:
+        raise NoConvergence("transform argument too close to phi_v")
+    warr = _w_array(model, x + n_terms)
+    if not np.all(np.isfinite(warr)):
+        raise OverflowSignal("W exceeds float range while summing the series")
+    powers = w ** np.arange(n_terms + 1, dtype=float)
+    return float(c * np.dot(powers, warr[x : x + n_terms + 1]))
+
+
+def w_determinant_oracle(model: DiscountedModel, n: int) -> np.ndarray:
+    """W(0..n) recovered from banded determinants, an independent oracle.
+
+    W(i) equals det(I - v * Q_i) / (p_0 * (p_0 * v)^i) where Q_i is the
+    i x i matrix with entries p_{r+1-c}. Intended for small n (at most
+    12) and v < 1.
+    """
+    if not 1 <= _int_arg(n, None, "n") <= 12:
+        raise DomainError("determinant oracle supports 1 <= n <= 12")
+    if model.v >= 1.0:
+        raise DomainError("determinant oracle requires v < 1")
+    dist, v = model.dist, model.v
+    q = np.zeros((n, n))
+    for r in range(n):
+        for c in range(min(r + 1, n - 1) + 1):
+            q[r, c] = dist.p(r + 1 - c)
+    m = np.eye(n) - v * q
+    out = np.empty(n + 1)
+    out[0] = 1.0 / dist.p0
+    for i in range(1, n + 1):
+        det = float(np.linalg.det(m[:i, :i]))
+        out[i] = det / (dist.p0 * (dist.p0 * v) ** i)
+    return out
+
+
+def _gf_sum(table: ScaleTable, z: float, x_max: int, column) -> tuple[float, float]:
+    """(z, sum_{x <= x_max} z^x col(x)) for col = column(x_max), once z is a real in
+    (0, phi_v), made a float, and 0 <= x_max <= table.x_max are checked."""
+    z = _real_arg(z, "z", _BELOW_PHI, table.phi, "()")
+    x_max = _int_arg(x_max, 0, "x_max")
+    if x_max > table.x_max:
+        raise OutOfTable(f"x = {x_max} beyond table range 0..{table.x_max}")
+    return z, float(np.polynomial.polynomial.polyval(z, column(x_max)[: x_max + 1]))
+
+
+def gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
+    """|(pgf(z) - z/v) * sum_x z^x W(x) - 1| over the table's W(0..x_max).
+
+    The generating function of W is 1 / (pgf(z) - z/v) for 0 < z <
+    phi_v, so the residual measures both table accuracy and truncation.
+    x_max past the table is OutOfTable: the table is the one whose
+    accuracy is measured, so none is built in its place.
+    """
+    z, s = _gf_sum(table, z, x_max, lambda m: table._w_through(0, m))
+    return abs((table.model.dist.pgf(z) - z / table.v) * s - 1.0)
+
+
+def z_gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
+    """Residual of the generating-function identity for Z = Z(., 1) over the
+    table's Z(0..x_max), refused as gf_residual refuses; a rescaled table has no Z.
+
+    sum_x z^x Z(x) = (pgf(z) - z) / ((pgf(z) - z/v)(1 - z)) on
+    0 < z < phi_v.
+    """
+    z, s = _gf_sum(table, z, x_max, lambda m: table.zw_array(1.0))
+    pg = table.model.dist.pgf(z)
+    target = (pg - z) / ((pg - z / table.v) * (1.0 - z))
+    return abs(s / target - 1.0)
 
 
 @dataclass(frozen=True)

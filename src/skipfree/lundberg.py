@@ -8,13 +8,10 @@ climb of b levels.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, WrongKind
-from .model import _DISCOUNT, MODIFIED_GEOMETRIC, ClaimDistribution, _int_arg, _real_arg
+from .errors import DomainError
+from .model import _DISCOUNT, ClaimDistribution, _int_arg, _real_arg
 
 
 def phi(dist: ClaimDistribution, v: float) -> float:
@@ -58,51 +55,6 @@ def _newton(dist: ClaimDistribution, v: float, x: float) -> float:
         x += step
 
 
-@dataclass(frozen=True)
-class RootPair:
-    """Both roots of the quadratic Lundberg equation of a modified
-    geometric claim law, with the quadratic's leading coefficient."""
-
-    phi_v: float
-    R_v: float
-    k_v: float
-
-
-def root_pair(dist: ClaimDistribution, v: float) -> RootPair:
-    """Closed-form Lundberg roots for a modified geometric claim law.
-
-    Clearing the geometric denominator turns the Lundberg equation into
-    k_v * xi^2 + (p1 - alpha*p0 - 1/v) * xi + p0 = 0 with
-    k_v = (1 - alpha)(1 - p0) - p1 + alpha / v. The larger root R_v is
-    computed with the numerically stable branch and phi_v recovered from
-    the product of roots, phi_v * R_v = p0 / k_v.
-    """
-    if dist.kind != MODIFIED_GEOMETRIC:
-        raise WrongKind("root_pair requires a modified geometric distribution")
-    v = _real_arg(v, "v", _DISCOUNT)
-    p0, p1, a = dist.p0, dist.p1, dist.alpha
-    k_v = (1.0 - a) * (1.0 - p0) - p1 + a / v
-    b = p1 - a * p0 - 1.0 / v
-    disc = b * b - 4.0 * k_v * p0
-    if disc < 0.0:
-        if disc < -1e-12:
-            raise DomainError("Lundberg quadratic has no real roots")
-        disc = 0.0
-    big = (-b + math.sqrt(disc)) / (2.0 * k_v)
-    small = p0 / (k_v * big)
-    return RootPair(phi_v=small, R_v=big, k_v=k_v)
-
-
-def _convolution_powers(dist: ClaimDistribution, n_max: int):
-    """Yield (n, dense pmf of C_1 + ... + C_n truncated at n_max)."""
-    base = dist.pmf_upto(n_max)
-    conv = np.zeros(n_max + 1)
-    conv[0] = 1.0
-    for n in range(1, n_max + 1):
-        conv = np.convolve(conv, base)[: n_max + 1]
-        yield n, conv
-
-
 def upcrossing_pmf(dist: ClaimDistribution, b: int, n_max: int) -> np.ndarray:
     """P[first passage to level b takes exactly n steps], n = 0..n_max.
 
@@ -116,22 +68,9 @@ def upcrossing_pmf(dist: ClaimDistribution, b: int, n_max: int) -> np.ndarray:
     if b == 0:
         out[0] = 1.0
         return out
-    for n, conv in _convolution_powers(dist, n_max):
+    base, conv = dist.pmf_upto(n_max), np.eye(1, n_max + 1)[0]
+    for n in range(1, n_max + 1):
+        conv = np.convolve(conv, base)[: n_max + 1]  # C_1 + ... + C_n, truncated at n_max
         if n >= b:
             out[n] = b / n * conv[n - b]
     return out
-
-
-def lagrange_series(dist: ClaimDistribution, v: float, n_max: int) -> float:
-    """Partial sum of the Lagrange inversion series for phi_v.
-
-    phi_v = sum over n >= 1 of v^n / n * P[C_1 + ... + C_n = n - 1].
-    Useful as an independent cross-check of the Newton root.
-    """
-    n_max, v = _int_arg(n_max, 0, "n_max"), _real_arg(v, "v", _DISCOUNT)
-    total = 0.0
-    vn = 1.0
-    for n, conv in _convolution_powers(dist, n_max):
-        vn *= v
-        total += vn / n * conv[n - 1]
-    return total

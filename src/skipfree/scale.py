@@ -17,10 +17,9 @@ import operator
 import numpy as np
 
 from .errors import DomainError, NoConvergence, OutOfTable, OverflowSignal
-from .model import _BELOW_PHI, _TRANSFORM, DiscountedModel, _int_arg, _real_arg
+from .model import _TRANSFORM, DiscountedModel, _int_arg, _real_arg
 
 _SELF_CHECK_RTOL = 1e-10
-_DH_TARGET = 1e-12
 
 
 _LD = np.longdouble  # 80-bit on x86-64 Linux
@@ -396,11 +395,6 @@ class ScaleTable:
         except _MISREAD as err:
             raise self._refused(err, "Z", (b + 1,), (b,)) from None
 
-    def _z1_values(self) -> np.ndarray:
-        if self.rescaled:
-            raise self._refused(None, "Z1", ())
-        return self._z1
-
     def z1(self, x: int) -> float:
         if x < 0:
             return float(x)
@@ -470,9 +464,8 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
 
     The plain build runs two algebraically independent recursions and
     raises NoConvergence if they disagree beyond 1e-10 relative error,
-    and OverflowSignal if entries leave float range (retry with
-    rescaled=True in that case, at the price of losing the Z family), and
-    sums W into the Z and Z1 columns.
+    and OverflowSignal, naming the first level past float range, if
+    entries leave it; it sums W into the Z and Z1 columns.
     """
     x_max = _int_arg(x_max, 0, "x_max")
     if rescaled:
@@ -484,9 +477,8 @@ def w_table(model: DiscountedModel, x_max: int, rescaled: bool = False) -> Scale
     if np.all(np.isfinite(arr)):
         alt = _w_array_alt(model, x_max)
     if not np.all(np.isfinite(alt)):
-        raise OverflowSignal(
-            "W exceeds float range on 0..%d; retry with rescaled=True" % x_max
-        )
+        first = int(np.argmin(np.isfinite(alt)))
+        raise OverflowSignal(f"W({first}) exceeds float range on 0..{x_max}")
     rel = np.max(np.abs(arr - alt) / np.abs(arr))
     if rel > _SELF_CHECK_RTOL:
         raise NoConvergence(
@@ -511,96 +503,3 @@ def asymptotic_constant(model: DiscountedModel) -> float:
     if den <= 0.0:
         return math.inf
     return model.v / den
-
-
-def dickson_hipp_z(model: DiscountedModel, w: float, x: int) -> float:
-    """Z(x, w) evaluated through the Dickson-Hipp operator on W.
-
-    Z(x, w) = (pgf(w) - w/v) * sum_{k >= 0} w^k W(x + k), valid for
-    0 < w < phi_v. The series is truncated once the geometric bound
-    through the asymptotic constant A certifies a remainder below 1e-12; w^(-x) at x < 0.
-    """
-    x, f = _int_arg(x, None, "level"), model.phi_v
-    w = _real_arg(w, "w", _BELOW_PHI, f, "()")
-    if x < 0:
-        return w ** -x
-    a_const = asymptotic_constant(model)
-    if math.isinf(a_const):
-        raise DomainError(
-            "Dickson-Hipp series bound unavailable in the critical case"
-        )
-    c = model.dist.pgf(w) - w / model.v
-    r = w / f
-    # remainder after K terms <= c * A * phi^(-x-1) * r^(K+1) / (1 - r)
-    lead = c * a_const * f ** float(-x - 1) / (1.0 - r)
-    if lead <= _DH_TARGET:
-        n_terms = 8
-    else:
-        n_terms = max(8, int(math.ceil(math.log(_DH_TARGET / lead) / math.log(r))) + 1)
-    if n_terms > 10**7:
-        raise NoConvergence("transform argument too close to phi_v")
-    warr = _w_array(model, x + n_terms)
-    if not np.all(np.isfinite(warr)):
-        raise OverflowSignal("W exceeds float range while summing the series")
-    powers = w ** np.arange(n_terms + 1, dtype=float)
-    return float(c * np.dot(powers, warr[x : x + n_terms + 1]))
-
-
-def w_determinant_oracle(model: DiscountedModel, n: int) -> np.ndarray:
-    """W(0..n) recovered from banded determinants, an independent oracle.
-
-    W(i) equals det(I - v * Q_i) / (p_0 * (p_0 * v)^i) where Q_i is the
-    i x i matrix with entries p_{r+1-c}. Intended for small n (at most
-    12) and v < 1.
-    """
-    if not 1 <= _int_arg(n, None, "n") <= 12:
-        raise DomainError("determinant oracle supports 1 <= n <= 12")
-    if model.v >= 1.0:
-        raise DomainError("determinant oracle requires v < 1")
-    dist, v = model.dist, model.v
-    q = np.zeros((n, n))
-    for r in range(n):
-        for c in range(min(r + 1, n - 1) + 1):
-            q[r, c] = dist.p(r + 1 - c)
-    m = np.eye(n) - v * q
-    out = np.empty(n + 1)
-    out[0] = 1.0 / dist.p0
-    for i in range(1, n + 1):
-        det = float(np.linalg.det(m[:i, :i]))
-        out[i] = det / (dist.p0 * (dist.p0 * v) ** i)
-    return out
-
-
-def _gf_sum(table: ScaleTable, z: float, x_max: int, column) -> tuple[float, float]:
-    """(z, sum_{x <= x_max} z^x col(x)) for col = column(x_max), once z is a real in
-    (0, phi_v), made a float, and 0 <= x_max <= table.x_max are checked."""
-    z = _real_arg(z, "z", _BELOW_PHI, table.phi, "()")
-    x_max = _int_arg(x_max, 0, "x_max")
-    if x_max > table.x_max:
-        raise OutOfTable(f"x = {x_max} beyond table range 0..{table.x_max}")
-    return z, float(np.polynomial.polynomial.polyval(z, column(x_max)[: x_max + 1]))
-
-
-def gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
-    """|(pgf(z) - z/v) * sum_x z^x W(x) - 1| over the table's W(0..x_max).
-
-    The generating function of W is 1 / (pgf(z) - z/v) for 0 < z <
-    phi_v, so the residual measures both table accuracy and truncation.
-    x_max past the table is OutOfTable: the table is the one whose
-    accuracy is measured, so none is built in its place.
-    """
-    z, s = _gf_sum(table, z, x_max, lambda m: table._w_through(0, m))
-    return abs((table.model.dist.pgf(z) - z / table.v) * s - 1.0)
-
-
-def z_gf_residual(table: ScaleTable, z: float, x_max: int) -> float:
-    """Residual of the generating-function identity for Z = Z(., 1) over the
-    table's Z(0..x_max), refused as gf_residual refuses; a rescaled table has no Z.
-
-    sum_x z^x Z(x) = (pgf(z) - z) / ((pgf(z) - z/v)(1 - z)) on
-    0 < z < phi_v.
-    """
-    z, s = _gf_sum(table, z, x_max, lambda m: table.zw_array(1.0))
-    pg = table.model.dist.pgf(z)
-    target = (pg - z) / ((pg - z / table.v) * (1.0 - z))
-    return abs(s / target - 1.0)

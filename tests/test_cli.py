@@ -301,12 +301,22 @@ def test_optimize_builds_no_level_past_bmax_plus_one(gsy_file, capsys, objective
     assert len(json.loads(captured.out, parse_constant=_refuse_constant)["trace"]) == 1751
 
 
-def test_rescaled_scan_past_float_range_names_first_level(gsy_file, capsys):
-    rc = main(["optimize", "--model", gsy_file, "--v", "0.8", "--bmax", "2000", "--rescaled"])
+def test_scan_past_float_range_names_first_level(gsy_file, capsys):
+    rc = main(["optimize", "--model", gsy_file, "--v", "0.8", "--bmax", "2000"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert captured.err == "error: W(1752) exceeds float range\n"
+    assert captured.err == "error: W(1752) exceeds float range on 0..2001\n"
+
+
+def test_certain_ruin_builds_level_0_only(tmp_path, capsys):
+    # v = 1 on a law of mean 3/2: ruin is certain at every level, and W, which
+    # leaves float range long before level 5000, is never read
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"type": "table", "pmf": ["1/2", "0", "0", "1/2"]}))
+    assert main(["ruin", "--model", str(path), "--v", "1", "--xmax", "5000"]) == 0
+    rows = "".join(f"{x},1\n" for x in range(5001))
+    assert capsys.readouterr() == ("x,ruin\n" + rows, "")
 
 
 @pytest.mark.parametrize("lines_read", [0, 1])
@@ -345,11 +355,12 @@ PINNED_CALLS = [
      "c5072d33a96e92077471f568e97852fa79b276417000c2de19119514d87fe769"),
     ("geo_file", "optimize --v 0.95 --objective modified --k 1.2 --bmax 200",
      "3c9242077636c45918c8d2e0e1ec440f3b8bd5d7dea8fb0467d20af24696763d"),
-    # the four-point law's long scans: doubly reflected next to v = 1, and on a rescaled table
+    # the four-point law's long scans: doubly reflected next to v = 1, and de Finetti
+    # at v = 0.8, where W leaves float range at level 1752
     ("gsy_file", "optimize --v 0.999 --objective doubly --k 1.2 --bmax 1500",
      "9588088236ff78ff12aca56ad0d54e19734cec4671884c1870dec7b93b2b971c"),
-    ("gsy_file", "optimize --v 0.8 --objective definetti --rescaled --bmax 1500",
-     "b66f972d9607d522ee013d6338b6f6419053d961b9ba32d50bf607bfb0bc628e"),
+    ("gsy_file", "optimize --v 0.8 --objective definetti --bmax 1500",
+     "b8e172ccbee7dfd5da679f0406b4d427a2b56032f05adc129809c6e565b681a4"),
     # the q = 0 row builds v = 1 tables, each with its Z and Z1 columns
     ("gsy_file", "embed --gamma 2 --step 0.5 --q 0 1 --xmax 50",
      "547597e5de31df694e98332dd3de2f18ce21b7732690ccf881b7d581bf715865"),

@@ -86,8 +86,6 @@ def argvs(draw, model_dir):
         if flag == "model":
             names = sorted(MODELS) if clean else [*MODELS, "none.json", "bad.json"]
             values = [str(model_dir / draw(st.sampled_from(names)))]
-        elif flag == "rescaled":
-            values = []
         elif flag == "q":
             values = [value(flag) for _ in range(draw(st.integers(1, 3)))]
         else:

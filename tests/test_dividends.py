@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import exact_reference as exact
 from skipfree import (
     Degenerate,
     DiscountedModel,
@@ -279,22 +280,9 @@ def test_dominance_of_the_best_barrier(three_tab_09, two_tab, gsy_tab):
 def test_gsy_modified_argmax_matches_exact_arithmetic(four_point, gsy_tab):
     """Recompute the influence in exact rationals over a window around
     the float argmax; the float scan must agree."""
-    v = Fraction(999, 1000)
-    p = [Fraction(3, 4), Fraction(1, 20), Fraction(1, 10), 0, 0, 0, 0, Fraction(1, 10)]
-    x_top = 47
-    w = [Fraction(0)] * (x_top + 1)
-    w[0] = 1 / p[0]
-    for x in range(x_top):
-        acc = w[x] / v
-        for y in range(x + 1):
-            if y + 1 < len(p):
-                acc -= w[x - y] * p[y + 1]
-        w[x + 1] = acc / p[0]
+    p = (Fraction(3, 4), Fraction(1, 20), Fraction(1, 10), 0, 0, 0, 0, Fraction(1, 10))
+    w, z = exact.columns(exact.Law(p), Fraction(999, 1000), 47)
     mean = sum(k * q for k, q in enumerate(p))
-    zcum = [Fraction(0)] * (x_top + 1)
-    for x in range(x_top):
-        zcum[x + 1] = zcum[x] + w[x]
-    z = [1 + (1 / v - 1) * zcum[x] for x in range(x_top + 1)]
     k = Fraction(12, 10)
     exact_h = {}
     for b in range(35, 46):

@@ -3,8 +3,9 @@ every public function, and for the fields of the four input dataclasses.
 
 The grid is generated from skipfree.__all__, the public methods of
 ClaimDistribution and inspect.signature, so a new public function or method
-is covered without editing this file. Each parameter whose
-annotation names int:
+is covered without editing this file; the golden battery's oracles and the
+tests' Lagrange series, which are not public, are listed by name. Each
+parameter whose annotation names int:
 
 - refuses a value that is not an integer (a float, 4.0 and nan too, a bool, a
   str, None where None is not the default) with a SkipfreeError, before any work;
@@ -33,11 +34,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import exact_reference
 import skipfree
 from skipfree import (ClaimDistribution, DiscountedModel, DomainError, FunctionalSpec,
                       LevyChainParams, PolicySpec, ScaleTable, SkipfreeError, modified_geometric,
                       w_table)
-from skipfree import embedding, lundberg, mc, passage, scale
+from skipfree import embedding, golden, lundberg, mc, passage, scale
 from skipfree.golden import three_point_model
 
 DIST = three_point_model()
@@ -108,6 +110,10 @@ def _params(fn, kind):
 
 FUNCTIONS = {name: getattr(skipfree, name) for name in skipfree.__all__
              if inspect.isfunction(getattr(skipfree, name))}
+# the oracles that check the public functions, by their homes
+FUNCTIONS.update({name: getattr(golden, name) for name in (
+    "dickson_hipp_z", "gf_residual", "root_pair", "w_determinant_oracle", "z_gf_residual")})
+FUNCTIONS["lagrange_series"] = exact_reference.lagrange_series
 # the public methods of ClaimDistribution, bound to DIST, and the pgf's divided difference
 FUNCTIONS.update({f"ClaimDistribution.{name}": getattr(DIST, name)
                   for name, _ in inspect.getmembers(ClaimDistribution, inspect.isfunction)
@@ -122,13 +128,14 @@ class WorkRan(Exception):
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Stand WorkRan in for every table build, DP, kernel and series."""
+    """Stand WorkRan in for every table build, DP, kernel and series; a series
+    starts from its law's dense pmf."""
     def work(*args, **kwargs):
         raise WorkRan
 
     for module, name in ((scale, "_recur"), (scale, "_w_array_alt"), (passage, "_stopped_dp"),
                          (passage, "_ruin_rows"), (mc, "_run"), (mc, "default_registry"),
-                         (lundberg, "_convolution_powers"), (lundberg, "_newton"),
+                         (ClaimDistribution, "pmf_upto"), (lundberg, "_newton"),
                          (embedding, "_chain_table")):
         monkeypatch.setattr(module, name, work)
 

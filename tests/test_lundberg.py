@@ -11,23 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipfree import (
-    DomainError,
-    WrongKind,
-    modified_geometric,
-    lagrange_series,
-    phi,
-    root_pair,
-    upcrossing_pmf,
-    validate,
-)
-from skipfree.golden import (
-    MODGEOM_CASES,
-    THREE_POINT_V,
-    four_point_model,
-    three_point_model,
-    two_point_model,
-)
+import exact_reference as exact
+from skipfree import DomainError, WrongKind, modified_geometric, phi, upcrossing_pmf, validate
+from skipfree.golden import (MODGEOM_CASES, THREE_POINT_V, four_point_model, root_pair,
+                             three_point_model, two_point_model)
 from skipfree.model import ClaimDistribution
 
 
@@ -68,16 +55,10 @@ def test_root_pair_factorizes_denominator(modgeom):
     pair = root_pair(modgeom, v)
     assert pair.phi_v == pytest.approx(phi(modgeom, v), abs=1e-12)
     assert pair.R_v > 1.0
-    alpha = modgeom.alpha
     # p(z) - z/v == k (z - phi)(z - R) / (1 - alpha z) on the whole line
     for z in (0.2, 0.5, 0.9, 1.3):
-        lhs = modgeom.pgf(z) - z / v if z <= 1.0 else (
-            modgeom.p0
-            + modgeom.p1 * z
-            + (1.0 - modgeom.p0 - modgeom.p1) * (1.0 - alpha) * z**2 / (1.0 - alpha * z)
-            - z / v
-        )
-        rhs = pair.k_v * (z - pair.phi_v) * (z - pair.R_v) / (1.0 - alpha * z)
+        lhs = float(exact.pgf(exact.law(modgeom), Decimal(z))[0]) - z / v
+        rhs = pair.k_v * (z - pair.phi_v) * (z - pair.R_v) / (1.0 - modgeom.alpha * z)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -130,7 +111,7 @@ def test_upcrossing_transform_is_phi_power(three_point):
 
 def test_lagrange_series_sums_to_phi(three_point, two_point):
     for d, v in ((three_point, 0.9), (two_point, 65.0 / 72.0)):
-        assert lagrange_series(d, v, 200) == pytest.approx(phi(d, v), abs=1e-12)
+        assert exact.lagrange_series(d, v, 200) == pytest.approx(phi(d, v), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,39 +123,9 @@ def test_phi_bracket_property(v):
     assert abs(root - v * d.pgf(root)) < 1e-12
 
 
-def _decimal_root(dist, v):
-    """The smallest root of xi = v * pgf(xi) on the law's float inputs, by
-    Newton's method from v * p_0 at 80 digits. At v = 1, p_0 is read as
-    1 - sum_{k >= 1} p_k, so that 1 is a root as it is for the exact law."""
-    with localcontext() as ctx:
-        ctx.prec = 80
-        pmf = [Decimal(p) for p in dist.pmf]
-        alpha, tail = Decimal(dist.alpha), Decimal(dist.tail_mass)
-        if v == 1.0:
-            pmf[0] = 1 - sum(pmf[1:]) - tail
-        vd = Decimal(v)
-
-        def g(x):  # xi - v * pgf(xi) and its derivative
-            p = dp = Decimal(0)
-            for c in reversed(pmf):
-                dp = p + x * dp
-                p = c + x * p
-            den = 1 - alpha * x
-            p += tail * (1 - alpha) * x * x / den
-            dp += tail * (1 - alpha) * x * (2 - alpha * x) / (den * den)
-            return x - vd * p, 1 - vd * dp
-
-        x = vd * pmf[0]
-        while True:
-            gx, slope = g(x)
-            step = -gx / slope
-            x += step
-            if abs(step) <= x * Decimal("1e-70"):
-                return x
-
-
 def _rel_err(dist, v):
-    want = _decimal_root(dist, v)
+    # at v = 1, p_0 is read so that 1 is a root, as it is for the exact law
+    want = exact.root(exact.law(dist, unit=v == 1.0), v)
     return float(abs(Decimal(phi(dist, v)) - want) / want)
 
 

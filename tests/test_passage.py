@@ -7,11 +7,12 @@ until it converges, and compare against the scale-function formulas.
 
 import hashlib
 import tracemalloc
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import exact_reference as exact
 from skipfree import (
     DomainError,
     DiscountedModel,
@@ -368,35 +369,6 @@ def _kappa_grid():
 KAPPA_GRID = _kappa_grid()
 
 
-def _decimal_pgf(dist, z, order=0):
-    """pgf(z) (order 0) or pgf'(z) (order 1) in Decimal, from the library's floats."""
-    p, a = [Decimal(x) for x in dist.pmf], Decimal(dist.alpha)
-    geo = Decimal(dist.tail_mass) * (1 - a)
-    if order == 0:
-        return sum(pk * z**k for k, pk in enumerate(p)) + geo * z * z / (1 - a * z)
-    return (sum(k * pk * z ** (k - 1) for k, pk in enumerate(p) if k)
-            + geo * z * (2 - a * z) / (1 - a * z) ** 2)
-
-
-def _decimal_kappa(dist, v, w):
-    """kappa(w) = phi (1/v - pgf[w, phi]) at 60 digits, at a 60-digit Lundberg root
-    that Newton's method finds from the library's float root."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        v, w = Decimal(v), Decimal(w)
-        if v == 1 and dist.mean <= 1.0:
-            f = Decimal(1)
-        else:
-            f = Decimal(DiscountedModel(dist, float(v)).phi_v)
-            for _ in range(12):
-                f -= (f - v * _decimal_pgf(dist, f)) / (1 - v * _decimal_pgf(dist, f, 1))
-        if w == f:
-            slope = _decimal_pgf(dist, f, 1)
-        else:
-            slope = (_decimal_pgf(dist, w) - _decimal_pgf(dist, f)) / (w - f)
-        return f * (1 / v - slope)
-
-
 def test_kappa_grid_has_195_cases():
     assert len(KAPPA_GRID) == 195
 
@@ -408,7 +380,7 @@ def test_ruin_limit_ratio_is_the_closed_form(law, v):
     table = w_table(DiscountedModel(dist, v), 2)
     for name, vv, w in KAPPA_GRID:
         if (name, vv) == (law, v):
-            want = _decimal_kappa(dist, v, w)
+            want = exact.kappa(dist, v, w)
             assert abs(Decimal(ruin_limit_ratio(table, w)) / want - 1) <= Decimal("1e-12"), w
 
 

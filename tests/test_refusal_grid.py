@@ -25,7 +25,7 @@ import pytest
 from skipfree import DiscountedModel, LevyChainParams, modified_geometric, w_table, wq, zq
 from skipfree import dividends as dv
 from skipfree import passage as pa
-from skipfree import golden, scale
+from skipfree import golden
 from skipfree.golden import cached_table, four_point_model, three_point_model
 
 TABLES = (
@@ -262,7 +262,7 @@ def test_numpy_integer_levels_read_like_ints(name):
 
 # levels that size a W column of their own, so the dtype maxima stay out
 OFF_TABLE_CALLS = {
-    "dickson_hipp_z": lambda t, x: scale.dickson_hipp_z(t.model, 0.5, x),
+    "dickson_hipp_z": lambda t, x: golden.dickson_hipp_z(t.model, 0.5, x),
     "wq": lambda t, m: wq(LevyChainParams(2.0, 0.5, t.model.dist), 0.4, m),
     "zq": lambda t, m: zq(LevyChainParams(2.0, 0.5, t.model.dist), 0.4, m),
 }

@@ -146,7 +146,7 @@ def _same(got, want):
 def test_scalar_reads_equal_the_columns(law, v, n, rescaled_only):
     table, rescaled = _tables(law, v, n, rescaled_only)
     levels, steps = range(n + 1), range(n)
-    W, Z, Z1 = table.w_array(), table.zw_array(1.0), table._z1_values()
+    W, Z, Z1 = table.w_array(), table.zw_array(1.0), table._z1
     Zw = table.zw_array(0.3)
     _same([table.w(x) for x in levels], W)
     _same([table.z(x) for x in levels], Z)

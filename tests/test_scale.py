@@ -5,20 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from skipfree import (
-    DiscountedModel,
-    DomainError,
-    OutOfTable,
-    OverflowSignal,
-    asymptotic_constant,
-    dickson_hipp_z,
-    gf_residual,
-    validate,
-    w_determinant_oracle,
-    w_table,
-    z_gf_residual,
-)
-from skipfree.golden import FOUR_POINT_V, cached_table
+from skipfree import (DiscountedModel, DomainError, OutOfTable, OverflowSignal,
+                      asymptotic_constant, validate, w_table)
+from skipfree.golden import (FOUR_POINT_V, cached_table, dickson_hipp_z, gf_residual,
+                             w_determinant_oracle, z_gf_residual)
 from skipfree.scale import z_table_w
 
 

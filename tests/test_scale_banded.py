@@ -9,11 +9,12 @@ cover the stop at the first overflow.
 
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import exact_reference as exact
 from skipfree import DiscountedModel, OverflowSignal, modified_geometric, validate, w_table
 from skipfree.golden import closed_form_w_modgeom, closed_form_z_modgeom
 from skipfree.scale import _w_array, _w_array_alt, _w_array_tilted, z_table_w
@@ -40,8 +41,9 @@ def _law32():
 
 LAWS = {"four_point": FOUR_POINT, "three_point": THREE_POINT, "law32": _law32()}
 
-# Largest relative error of W(0..8000) against _decimal_w for the dense
-# prefix recursion the banded one replaced, rounded up in the third digit.
+# Largest relative error of W(0..8000) against its 60-digit replay from the same
+# float p_k and v, for the dense prefix recursion the banded one replaced,
+# rounded up in the third digit.
 ENVELOPE = {
     ("four_point", 0.999): 4.74e-14,
     ("four_point", 1.0): 6.50e-12,
@@ -50,20 +52,6 @@ ENVELOPE = {
     ("law32", 0.999): 4.78e-14,
     ("law32", 1.0): 1.39e-12,
 }
-
-
-def _decimal_w(dist, v, n):
-    """W(0..n) at 60 digits, from the same float p_k and v as the library."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        p = [Decimal(x) for x in dist.pmf]
-        inv_v = 1 / Decimal(v)
-        band = [(k, pk) for k, pk in enumerate(p) if k and pk]
-        w = [1 / p[0]]
-        for x in range(n):
-            s = sum(pk * w[x + 1 - k] for k, pk in band if k <= x + 1)
-            w.append((w[x] * inv_v - s) / p[0])
-        return w
 
 
 def _closed(fn, dist, v, n):
@@ -82,32 +70,17 @@ def test_w_within_dense_envelope(law, v):
     dist = LAWS[law]
     got = _w_array(DiscountedModel(dist, v), 8000)
     assert np.isfinite(got).all()
-    exact = _decimal_w(dist, v, 8000)
-    err = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(got, exact))
+    want = exact.columns(exact.law(dist), v, 8000)[0]
+    err = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(got, want))
     assert err <= ENVELOPE[law, v]
 
 
-def _decimal_w_modgeom(dist, v, n):
-    """W(0..n) at 60 digits for the modified geometric law, from the
-    library's float p_0, p_1, alpha and v. The float closed form is no
-    oracle at this level: its powers of phi are 2.5e-12 off at n = 8000."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        p0, p1, a = Decimal(dist.p0), Decimal(dist.p1), Decimal(dist.alpha)
-        tail, inv_v = (1 - p0 - p1) * (1 - a), 1 / Decimal(v)
-        w, g = [1 / p0], Decimal(0)
-        for x in range(n):
-            s = p1 * w[x] + g
-            g = a * g + tail * w[x]
-            w.append((w[x] * inv_v - s) / p0)
-        return w
-
-
 def test_modgeom_w_within_dense_envelope():
-    # the dense recursion measured 5.16e-14 here
+    # the dense recursion measured 5.16e-14 here. The float closed form is no oracle
+    # at this level: its powers of phi are 2.5e-12 off at n = 8000
     got = _w_array(DiscountedModel(MODGEOM, 0.999), 8000)
-    exact = _decimal_w_modgeom(MODGEOM, 0.999, 8000)
-    err = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(got, exact))
+    want = exact.columns(exact.law(MODGEOM), 0.999, 8000)[0]
+    err = max(abs(Decimal(float(a)) / b - 1) for a, b in zip(got, want))
     assert err <= 5.17e-14
 
 
@@ -136,7 +109,7 @@ def test_overflow_stops_at_first_inf():
     assert np.isfinite(w[:first]).all()
     assert (w[first:] == math.inf).all()
     with pytest.raises(OverflowSignal,
-                       match=r"^W exceeds float range on 0\.\.8000; retry with rescaled=True$"):
+                       match=r"^W\(1752\) exceeds float range on 0\.\.8000$"):
         w_table(DiscountedModel(FOUR_POINT, 0.8), 8000)
 
 

@@ -108,7 +108,7 @@ def test_saturated_scan_with_inf_and_nan_entries():
 @pytest.mark.parametrize("law", ["three_point", "modgeom"])
 def test_scalar_values_read_the_scan_column_bit_for_bit(law, request):
     # at v = 1, W saturates and dW rounds to 0 well before b = 600, where the
-    # scalar influence falls back to the scan's inf; v = 0.999 for double reflection
+    # scalar influence gives the scan's inf; v = 0.999 for double reflection
     dist, b_max, k = request.getfixturevalue(law), 600, 1.2
     # objective, v, its scalar influence and value, the column its value weighs H by
     for objective, v, influence, value, col in (
